@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import complexity as cx
 from .finite_field import field_of_order, prime_power
@@ -109,6 +109,45 @@ def admissible_periods(q: int) -> list[int]:
     return [d for d in range(1, q - 1) if (q - 1) % d == 0]
 
 
+def _inversive_sequences(q, a, **_):
+    yield inversive_finite(field_of_order(q), a=a), {}
+
+
+def _periodic_sequences(q, d, b, c, periods, n_max, **_):
+    field = field_of_order(q)
+    for dd in (admissible_periods(q) if d is None else [d]):
+        n_len = periods * dd if n_max is None else n_max
+        yield inversive_periodic(field, dd, n_len, b=b, c=c), {"d": dd}
+
+
+def _hermitian_sequences(ell, **_):
+    yield hermitian_sequence(ell), {"ell": ell}
+
+
+@dataclass(frozen=True)
+class _Construction:
+    param: str  # the parameter verify requires
+    label: str  # the name in error messages
+    kinds: tuple  # default kinds
+    bounds: dict  # kind -> bound(n, k, **ids), ids being the BoundCheck extras
+    sequences: Callable  # verify's keywords -> (sequence, ids) pairs
+
+
+# One entry per construction; check ids are f"{construction}-{kind}".
+_CATALOG = {
+    "inversive": _Construction(
+        "q", "inversive", ("nk", "lk", "lin"),
+        {"nk": bound_inversive, "lk": bound_inversive, "lin": bound_inversive},
+        _inversive_sequences),
+    "periodic": _Construction(
+        "q", "periodic", ("nk", "lk"),
+        {"nk": bound_periodic, "lk": bound_periodic}, _periodic_sequences),
+    "hermitian": _Construction(
+        "ell", "Hermitian", ("nk", "lk"),
+        {"nk": bound_hermitian_N, "lk": bound_hermitian_L}, _hermitian_sequences),
+}
+
+
 def verify(construction: str, *, q: Optional[int] = None,
            ell: Optional[int] = None, k_values=(1, 2),
            kinds: Optional[tuple] = None, d: Optional[int] = None,
@@ -116,77 +155,30 @@ def verify(construction: str, *, q: Optional[int] = None,
            max_monomials: int = cx.DEFAULT_MAX_MONOMIALS) -> list[BoundCheck]:
     """Sweep every prefix length and requested degree cap of one
     construction and compare exact complexities against the catalog
-    bounds.  Returns one BoundCheck per (kind, k, n)."""
+    bounds.  Returns one BoundCheck per (kind, k, n); linear complexity
+    is checked at k = 1 only."""
     k_values = sorted(set(int(k) for k in k_values))
     if any(k < 1 for k in k_values):
         raise ValueError("degree caps must be >= 1")
-
-    if construction == "inversive":
-        if q is None:
-            raise ValueError("inversive verification needs q")
-        field = field_of_order(q)
-        seq = inversive_finite(field, a=a)
-        kinds = ("nk", "lk", "lin") if kinds is None else kinds
-        checks: list[BoundCheck] = []
+    entry = _CATALOG.get(construction)
+    if entry is None:
+        raise ValueError(f"no bound catalog entry for construction {construction!r}")
+    params = dict(q=q, ell=ell, d=d, a=a, b=b, c=c, periods=periods, n_max=n_max)
+    if params[entry.param] is None:
+        raise ValueError(f"{construction} verification needs {entry.param}")
+    kinds = entry.kinds if kinds is None else kinds
+    for kind in kinds:
+        if kind not in entry.bounds:
+            raise ValueError(f"no {entry.label} bound covers kind {kind!r}")
+    checks: list[BoundCheck] = []
+    for seq, ids in entry.sequences(**params):
         for kind in kinds:
-            if kind == "nk":
-                for k in k_values:
-                    checks += _profile_checks(
-                        seq, "inversive-nk", k, "nk",
-                        lambda n, k=k: bound_inversive(n, k), n_max, max_monomials)
-            elif kind == "lk":
-                for k in k_values:
-                    checks += _profile_checks(
-                        seq, "inversive-lk", k, "lk",
-                        lambda n, k=k: bound_inversive(n, k), n_max, max_monomials)
-            elif kind == "lin":
+            bound = entry.bounds[kind]
+            for k in ((1,) if kind == "lin" else k_values):
                 checks += _profile_checks(
-                    seq, "inversive-lin", 1, "lin",
-                    lambda n: bound_inversive(n, 1), n_max, max_monomials)
-            else:
-                raise ValueError(f"no inversive bound covers kind {kind!r}")
-        return checks
-
-    if construction == "periodic":
-        if q is None:
-            raise ValueError("periodic verification needs q")
-        field = field_of_order(q)
-        ds = admissible_periods(q) if d is None else [d]
-        kinds = ("nk", "lk") if kinds is None else kinds
-        checks = []
-        for dd in ds:
-            n_len = periods * dd if n_max is None else n_max
-            seq = inversive_periodic(field, dd, n_len, b=b, c=c)
-            for kind in kinds:
-                if kind not in ("nk", "lk"):
-                    raise ValueError(f"no periodic bound covers kind {kind!r}")
-                theorem = "periodic-nk" if kind == "nk" else "periodic-lk"
-                for k in k_values:
-                    checks += _profile_checks(
-                        seq, theorem, k, kind,
-                        lambda n, k=k, dd=dd: bound_periodic(n, k, dd),
-                        None, max_monomials, d=dd)
-        return checks
-
-    if construction == "hermitian":
-        if ell is None:
-            raise ValueError("hermitian verification needs ell")
-        seq = hermitian_sequence(ell)
-        kinds = ("nk", "lk") if kinds is None else kinds
-        checks = []
-        for kind in kinds:
-            if kind not in ("nk", "lk"):
-                raise ValueError(f"no Hermitian bound covers kind {kind!r}")
-            theorem = "hermitian-nk" if kind == "nk" else "hermitian-lk"
-            bound_fn = bound_hermitian_N if kind == "nk" else bound_hermitian_L
-            for k in k_values:
-                checks += _profile_checks(
-                    seq, theorem, k, kind,
-                    lambda n, k=k: bound_fn(n, k, ell), n_max, max_monomials,
-                    ell=ell)
-        return checks
-
-    raise ValueError(f"no bound catalog entry for construction {construction!r}")
+                    seq, f"{construction}-{kind}", k, kind,
+                    lambda n: bound(n, k, **ids), n_max, max_monomials, **ids)
+    return checks
 
 
 def all_passed(checks) -> bool:

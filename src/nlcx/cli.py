@@ -30,10 +30,13 @@ SCHEMA = 1
 
 
 def _threads(args) -> int:
-    if args.threads is not None:
-        n = args.threads
-    else:
-        n = int(os.environ.get("NLCX_THREADS", "1"))
+    n = args.threads
+    if n is None:
+        env = os.environ.get("NLCX_THREADS", "1")
+        try:
+            n = int(env)
+        except ValueError:
+            raise ValueError(f"NLCX_THREADS must be an integer, not {env!r}") from None
     if n < 1:
         raise ValueError("thread count must be >= 1")
     return n
@@ -47,12 +50,14 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _params(args) -> dict:
+    return {k: v for k, v in sorted(vars(args).items())
+            if k not in ("func", "out", "format") and v is not None}
+
+
 def _stanza(args, field=None, **extra) -> list[str]:
-    skip = {"func", "out", "format"}
-    params = {k: v for k, v in sorted(vars(args).items())
-              if k not in skip and v is not None}
     lines = [f"nlcx {__version__}",
-             "params " + " ".join(f"{k}={v}" for k, v in params.items())]
+             "params " + " ".join(f"{k}={v}" for k, v in _params(args).items())]
     if field is not None:
         lines.append("field " + field.describe())
     lines += [f"{k} {v}" for k, v in extra.items()]
@@ -60,12 +65,7 @@ def _stanza(args, field=None, **extra) -> list[str]:
 
 
 def _meta(args, field=None, **extra) -> dict:
-    skip = {"func", "out", "format"}
-    meta = {
-        "version": __version__,
-        "params": {k: v for k, v in sorted(vars(args).items())
-                   if k not in skip and v is not None},
-    }
+    meta = {"version": __version__, "params": _params(args)}
     if field is not None:
         meta["field"] = field.describe()
     meta.update(extra)
@@ -295,8 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("-o", "--out", help="output file (default stdout)")
+
+    def workers(p):
         p.add_argument("--threads", type=int, default=None,
-                       help="worker count (default: NLCX_THREADS or 1)")
+                       help="worker processes (default: NLCX_THREADS or 1; "
+                            "at most one per CPU)")
 
     g = sub.add_parser("gen", help="generate a sequence file")
     g.add_argument("--kind", required=True,
@@ -349,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--format", choices=["csv", "json"], default="csv")
     common(c)
+    workers(c)
     c.set_defaults(func=cmd_count)
 
     p = sub.add_parser("profile", help="Monte Carlo complexity profile")
@@ -360,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="comma list of lengths (default: powers of two)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     common(p)
+    workers(p)
     p.set_defaults(func=cmd_profile)
 
     h = sub.add_parser("hermitian", help="curve geometry dumps")

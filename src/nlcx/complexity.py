@@ -226,6 +226,7 @@ class _Gf2System:
             self._supports = [tuple(j for j, e in enumerate(E) if e) for E in self._exps]
         self.basis: dict[int, int] = {}
 
+    @property
     def exps(self) -> list[tuple[int, ...]]:
         if self._exps is None:
             self._exps = monomial_exponents(self.m, self.k, self.mode, per_var=1)
@@ -309,7 +310,7 @@ def _feed(system, vals, n: int, m: int) -> bool:
 
 def _witness_from(system, m: int, k: int, mode: str) -> FeedbackPolynomial:
     sol = system.solution()
-    exps = system.exps() if isinstance(system, _Gf2System) else system.exps
+    exps = system.exps
     coeffs = tuple((exps[i], c) for i, c in enumerate(sol) if c)
     return FeedbackPolynomial(m=m, k=k, mode=mode, coeffs=coeffs)
 
@@ -320,14 +321,35 @@ def _full_function_space(field: Field, k: int, mode: str) -> bool:
     return mode == "each" and k >= field.q - 1
 
 
-def _windows_consistent(vals, n: int, m: int) -> bool:
-    seen: dict = {}
+def _windows_consistent(vals, n: int, m: int, seen: dict) -> bool:
     for i in range(n - m):
         w = tuple(vals[i:i + m])
         t = vals[i + m]
         if seen.setdefault(w, t) != t:
             return False
     return True
+
+
+def _least_fit(field: Field, vals, n: int, k: int, mode: str,
+               max_monomials: int, m_min: int, m_max: int,
+               seen: Optional[dict] = None):
+    """The least m in m_min..m_max for which a length-m feedback map of the
+    class fits the first n terms, with the solver system fed to decide it;
+    (None, None) when there is none.  When _full_function_space holds, a
+    window scan decides instead: no system is built (None), and seen, the
+    caller's dict when given, is left holding the windows of the fit."""
+    if seen is None and _full_function_space(field, k, mode):
+        seen = {}
+    for m in range(m_min, m_max + 1):
+        if seen is not None:
+            seen.clear()
+            if _windows_consistent(vals, n, m, seen):
+                return m, None
+        else:
+            system = _new_system(field, m, k, mode, max_monomials)
+            if _feed(system, vals, n, m):
+                return m, system
+    return None, None
 
 
 def _check_seq(s: Sequence):
@@ -345,23 +367,17 @@ def _complexity(s: Sequence, k: int, kind: str, max_monomials: int,
     n = len(vals)
     if not any(vals):
         return ComplexityReport(kind, k, n, 0)
-    full = _full_function_space(s.field, k, mode)
-    for m in range(1, n):
-        if full:
-            if not _windows_consistent(vals, n, m):
-                continue
-            wit = None
-            if want_witness:
-                system = _new_system(s.field, m, k, mode, max_monomials)
-                _feed(system, vals, n, m)
-                wit = _witness_from(system, m, k, mode)
-            return ComplexityReport(kind, k, n, m, wit)
-        system = _new_system(s.field, m, k, mode, max_monomials)
-        if _feed(system, vals, n, m):
-            wit = _witness_from(system, m, k, mode) if want_witness else None
-            return ComplexityReport(kind, k, n, m, wit)
-    # n == 1 and s nonzero: a length-1 map is vacuously valid (no equations)
-    return ComplexityReport(kind, k, n, 1)
+    m, system = _least_fit(s.field, vals, n, k, mode, max_monomials, 1, n - 1)
+    if m is None:
+        # n == 1 and s nonzero: a length-1 map is vacuously valid (no equations)
+        return ComplexityReport(kind, k, n, 1)
+    wit = None
+    if want_witness:
+        if system is None:  # decided by the window scan
+            system = _new_system(s.field, m, k, mode, max_monomials)
+            _feed(system, vals, n, m)
+        wit = _witness_from(system, m, k, mode)
+    return ComplexityReport(kind, k, n, m, wit)
 
 
 def nonlinear_complexity(s: Sequence, k: int, *,
@@ -391,32 +407,33 @@ def max_order_complexity(s: Sequence, *,
     return ComplexityReport("moc", rep.k, rep.n, rep.value, rep.witness)
 
 
-def _berlekamp_massey(field: Field, vals) -> tuple[int, list[int]]:
-    """Return (L, C): shortest LFSR length and connection polynomial
-    C(x) = 1 + C[1] x + ... + C[L] x^L with sum_j C[j] s_{i-j} == 0."""
+def _berlekamp_massey(field: Field, vals) -> tuple[list[int], list[int]]:
+    """Return (profile, C): the shortest LFSR length of every prefix, and
+    the final connection polynomial C(x) = 1 + C[1] x + ... + C[L] x^L with
+    sum_j C[j] s_{i-j} == 0, where L = profile[-1]."""
     n = len(vals)
     add, sub, mul = field.add, field.sub, field.mul
     C = [1] + [0] * n
     B = [1] + [0] * n
     L, m, b = 0, 1, 1
+    out = []
     for i in range(n):
         d = vals[i]
         for j in range(1, L + 1):
             d = add(d, mul(C[j], vals[i - j]))
         if d == 0:
             m += 1
-            continue
-        coef = mul(d, field.inv(b))
-        if 2 * L <= i:
-            T = C[:]
-            for j in range(n - m + 1):
-                C[j + m] = sub(C[j + m], mul(coef, B[j]))
-            L, B, b, m = i + 1 - L, T, d, 1
         else:
+            coef = mul(d, field.inv(b))
+            T = C[:] if 2 * L <= i else None
             for j in range(n - m + 1):
                 C[j + m] = sub(C[j + m], mul(coef, B[j]))
-            m += 1
-    return L, C[:L + 1]
+            if T is None:
+                m += 1
+            else:
+                L, B, b, m = i + 1 - L, T, d, 1
+        out.append(L)
+    return out, C[:L + 1]
 
 
 def linear_complexity(s: Sequence, *, witness: bool = True) -> ComplexityReport:
@@ -428,7 +445,8 @@ def linear_complexity(s: Sequence, *, witness: bool = True) -> ComplexityReport:
     n = len(vals)
     if not any(vals):
         return ComplexityReport("lin", None, n, 0)
-    L, C = _berlekamp_massey(field, vals)
+    prof, C = _berlekamp_massey(field, vals)
+    L = prof[-1]
     wit = None
     if witness and 1 <= L < n:
         coeffs = []
@@ -445,33 +463,7 @@ def linear_complexity(s: Sequence, *, witness: bool = True) -> ComplexityReport:
 def linear_profile(s: Sequence) -> list[int]:
     """Linear complexity of every prefix, from the Berlekamp-Massey scan."""
     _check_seq(s)
-    field = s.field
-    vals = s.values
-    n = len(vals)
-    add, sub, mul = field.add, field.sub, field.mul
-    C = [1] + [0] * n
-    B = [1] + [0] * n
-    L, m, b = 0, 1, 1
-    out = []
-    for i in range(n):
-        d = vals[i]
-        for j in range(1, L + 1):
-            d = add(d, mul(C[j], vals[i - j]))
-        if d == 0:
-            m += 1
-        else:
-            coef = mul(d, field.inv(b))
-            if 2 * L <= i:
-                T = C[:]
-                for j in range(n - m + 1):
-                    C[j + m] = sub(C[j + m], mul(coef, B[j]))
-                L, B, b, m = i + 1 - L, T, d, 1
-            else:
-                for j in range(n - m + 1):
-                    C[j + m] = sub(C[j + m], mul(coef, B[j]))
-                m += 1
-        out.append(L)
-    return out
+    return _berlekamp_massey(s.field, s.values)[0]
 
 
 def profile(s: Sequence, k: Optional[int], kind: str = "nk", *,
@@ -495,46 +487,27 @@ def profile(s: Sequence, k: Optional[int], kind: str = "nk", *,
     mode = _MODES[kind]
     field = s.field
     vals = s.values
-    full = _full_function_space(field, k, mode)
+    seen = {} if _full_function_space(field, k, mode) else None
     out: list[int] = []
     m = 0
     system = None
-    seen: dict = {}
-
-    def rescan(plen: int) -> bool:
-        seen.clear()
-        for i in range(plen - m):
-            w = tuple(vals[i:i + m])
-            t = vals[i + m]
-            if seen.setdefault(w, t) != t:
-                return False
-        return True
-
     for idx, v in enumerate(vals):
-        plen = idx + 1
         if m == 0:
             if v == 0:
                 out.append(0)
                 continue
-            m = 1
-            if full:
-                ok = rescan(plen)
-            else:
-                system = _new_system(field, m, k, mode, max_monomials)
-                ok = _feed(system, vals, plen, m)
-        elif full:
+            ok = False  # the first nonzero term: search from m = 1
+        elif seen is not None:
             ok = seen.setdefault(tuple(vals[idx - m:idx]), v) == v
         else:
             ok = system.add(vals[idx - m:idx], v)
-        while not ok:
-            m += 1
-            if m >= plen:  # length-(plen-1) maps always exist; never reached
+        if not ok:
+            system = None  # free the outgrown system before the next is fed
+            # a length-max(idx, 1) map always fits the first idx + 1 terms
+            m, system = _least_fit(field, vals, idx + 1, k, mode, max_monomials,
+                                   m + 1, max(idx, 1), seen)
+            if m is None:  # never reached
                 raise AssertionError("profile search overran the prefix")
-            if full:
-                ok = rescan(plen)
-            else:
-                system = _new_system(field, m, k, mode, max_monomials)
-                ok = _feed(system, vals, plen, m)
         out.append(m)
     return out
 
@@ -551,16 +524,7 @@ def complexity_at_most(field: Field, vals, k: int, cap: int, mode: str = "each",
         # single-term sequences sit at 1; a length-(n-1) constant map
         # always reproduces the final term
         return cap >= 1
-    full = _full_function_space(field, k, mode)
-    for m in range(1, cap + 1):
-        if full:
-            if _windows_consistent(vals, n, m):
-                return True
-            continue
-        system = _new_system(field, m, k, mode, max_monomials)
-        if _feed(system, vals, n, m):
-            return True
-    return False
+    return _least_fit(field, vals, n, k, mode, max_monomials, 1, cap)[0] is not None
 
 
 def brute_force_complexity(s: Sequence, k: int, kind: str = "nk", *,

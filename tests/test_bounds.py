@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +120,13 @@ def test_summarize():
     assert s["passed"] == len(checks)
     assert s["failed"] == 0
     assert s["all_passed"] is True
+
+
+def test_readme_catalog_matches_verify_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Bound catalog", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `([a-z]+-[a-z]+)` \|", section, re.M))
+    table = {f"{name}-{kind}" for name, entry in B._CATALOG.items()
+             for kind in entry.bounds}
+    assert documented == table
+    assert len(table) == 7

@@ -244,3 +244,24 @@ def test_env_thread_override(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "profile", "--q", "2", "--k", "1",
                        "--nmax", "8", "--samples", "10", "--seed", "1")
     assert code == 2
+
+
+def test_env_thread_count_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("NLCX_THREADS", "two")
+    code, _, err = run(capsys, "count", "--q", "2", "--k", "1", "--n", "4",
+                       "--m", "1")
+    assert code == 2
+    assert "NLCX_THREADS" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--kind", "inversive", "--q", "7"),
+    ("analyze", "--in", "seq.txt", "--kind", "lin"),
+    ("verify", "--construction", "inversive", "--q", "7"),
+    ("hermitian", "--ell", "2"),
+])
+def test_threads_only_on_count_and_profile(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

@@ -225,11 +225,15 @@ def test_brute_force_equivalence_spot():
 
 
 def test_complexity_at_most_consistency():
-    for seed in range(20):
-        s = random_sequence(F3, 8, seed)
-        v = cx.nonlinear_complexity(s, 1, witness=False).value
-        for cap in range(8):
-            assert cx.complexity_at_most(F3, s.values, 1, cap) == (v <= cap)
+    # F_2 at k = 1 takes the window-scan path; the other inputs build systems
+    analyzers = {"each": cx.nonlinear_complexity, "total": cx.total_degree_complexity}
+    for field, k, mode in ((F3, 1, "each"), (F2, 1, "each"), (F2, 1, "total"),
+                           (F3, 2, "total"), (F4, 1, "total")):
+        for seed in range(20):
+            s = random_sequence(field, 8, seed)
+            v = analyzers[mode](s, k, witness=False).value
+            for cap in range(8):
+                assert cx.complexity_at_most(field, s.values, k, cap, mode) == (v <= cap)
 
 
 def test_guard_raises():

@@ -73,6 +73,18 @@ def test_count_thread_invariance():
     assert a == b
 
 
+def test_worker_count_is_clamped(monkeypatch):
+    # only the arithmetic is checked; no worker process is started
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 4)
+    assert stats._worker_count(100000, 16) == 4
+    assert stats._worker_count(3, 16) == 3
+    assert stats._worker_count(8, 2) == 2
+    assert stats._worker_count(1, 16) == 1
+    assert stats._worker_count(0, 16) == 1
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: None)
+    assert stats._worker_count(8, 16) == 1
+
+
 def test_monte_carlo_profile_deterministic():
     a = stats.monte_carlo_profile(2, 1, [8, 16], 40, seed=11)
     b = stats.monte_carlo_profile(2, 1, [8, 16], 40, seed=11)
