@@ -3,15 +3,20 @@
 The central question: the shortest feedback length m for which some
 polynomial map f with a degree cap regenerates the sequence through
 s_{i+m} = f(s_i, ..., s_{i+m-1}).  For fixed m the existence of f is a
-linear question in the coefficients of f, decided exactly by Gaussian
-elimination over the field.  Two degree regimes are supported: degree at
-most k in every variable separately ("each"), and total degree at most k
-("total").  Linear complexity is computed by Berlekamp-Massey.
+linear question in the coefficients of f, decided exactly over the field:
+by Gaussian elimination over the monomial columns when there are few of
+them, and otherwise by a column-space system that never lists the
+monomials (_new_system picks by size).  Two degree regimes are supported:
+degree at most k in every variable separately ("each"), and total degree
+at most k ("total").  Linear complexity is computed by Berlekamp-Massey.
 
 Conventions: the all-zero sequence has complexity 0; a one-term nonzero
-sequence has complexity 1 (a length-1 feedback map is vacuously valid);
-witnesses are canonical in the sense that free coefficients are zero and
-monomials are ordered lexicographically with the last variable fastest.
+sequence has complexity 1 (a length-1 feedback map is vacuously valid).
+Witness terms are listed with their monomials in lexicographic order, the
+last variable fastest.  A witness from a monomial system is canonical:
+pivots are the lex-first columns and free coefficients are zero.  A
+witness from a column-space system is a basic solution with at most
+n - m terms, one per basis column.
 """
 
 from __future__ import annotations
@@ -292,11 +297,169 @@ class _Gf2System:
         return [(sol_bits >> c) & 1 for c in range(ncols)]
 
 
-def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int):
-    ncols = monomial_count(m, k, mode, per_var=field.q - 1)
+class _SpanLevel:
+    """Level j of a _SpanSystem: the candidate monomials in the first j + 1
+    variables, the basis picked among them, and each other candidate's
+    relation over the basis on the rows fed so far."""
+
+    def __init__(self):
+        self.mons: list[tuple[int, ...]] = []  # exponent vector per candidate
+        self.degs: list[int] = []
+        self.src: list[tuple[int, int]] = []  # (parent basis position, e)
+        self.rels: list[Optional[list[int]]] = []  # None for basis members
+        self.basis: list[int] = []  # candidate indices, in pivot order
+        self.pos: dict[int, int] = {}  # candidate index -> basis position
+        self.kids: list[list[Optional[int]]] = []  # parent position -> e -> candidate
+
+
+class _SpanSystem:
+    """Column-space system: decides whether the targets lie in the span of
+    the monomial columns without listing the monomials.
+
+    Level j keeps a basis of at most r monomial columns in the first j + 1
+    variables (r rows fed), picked from the candidates b * x_j**e with b in
+    level j - 1's basis, and every other candidate's relation over it.
+    Products of a spanning set with the powers of x_j span every monomial
+    in one more variable, so the last level spans all monomial columns.  A
+    row raises each level's rank by at most one, so it costs
+    O(m * (k + 1) * r**2) field operations.  The lowest-degree candidate
+    with a nonzero residual becomes the pivot, so a relation only uses
+    basis members of at most the candidate's degree; in "total" mode that
+    keeps every product needed by a new candidate's relation in range.
+    ncols is the most candidate columns the system holds for `rows` rows.
+    A row that add() rejects leaves the levels part-updated, so the system
+    is spent after add() returns False; every caller drops it then.
+    """
+
+    def __init__(self, field: Field, m: int, k: int, mode: str, rows: int):
+        self.f = field
+        self.m, self.k, self.mode = m, k, mode
+        self.kcap = min(k, field.q - 1)
+        self.ncols = m * (self.kcap + 1) * max(rows, 1)
+        self.levels = [_SpanLevel() for _ in range(m)]
+        # level 0 grows from the empty monomial, a fixed basis of one
+        self._grow(self.levels[0], (), 0, [])
+        self.target: list[int] = []  # the target's relation over the last basis
+
+    def _grow(self, lv: _SpanLevel, mon: tuple, deg: int, rel: list[int]):
+        """Add the candidates mon * x_j**e for a new parent basis member
+        whose relation over the parent basis was rel before it became a
+        pivot; each gets the relation that follows on the rows fed so far."""
+        f = self.f
+        add, mul = f.add, f.mul
+        parent = len(lv.kids)
+        kids: list[Optional[int]] = []
+        nb = len(lv.basis)
+        for e in range(self.kcap + 1):
+            if self.mode == "total" and deg + e > self.k:
+                kids.append(None)
+                continue
+            acc = [0] * nb
+            for i, a in enumerate(rel):
+                if not a:
+                    continue
+                c = lv.kids[i][e]
+                t = lv.pos.get(c)
+                if t is not None:
+                    acc[t] = add(acc[t], a)
+                else:
+                    for t, x in enumerate(lv.rels[c]):
+                        if x:
+                            acc[t] = add(acc[t], mul(a, x))
+            kids.append(len(lv.mons))
+            lv.mons.append(mon + (e,))
+            lv.degs.append(deg + e)
+            lv.src.append((parent, e))
+            lv.rels.append(acc)
+        lv.kids.append(kids)
+
+    def add(self, window, target: int) -> bool:
+        f = self.f
+        sub, mul, inv, pow_ = f.sub, f.mul, f.inv, f.pow
+        pvals = [1]  # values of the parent basis members on this row
+        last = self.m - 1
+        for j, lv in enumerate(self.levels):
+            w = window[j]
+            pw = [1] + [pow_(w, e) for e in range(1, self.kcap + 1)]
+            vals = [mul(pvals[i], pw[e]) for i, e in lv.src]
+            bvals = [vals[c] for c in lv.basis]
+            pivot = None
+            moved = []  # (candidate, residual) for every nonzero residual
+            for c, rel in enumerate(lv.rels):
+                if rel is None:
+                    continue
+                r = vals[c]
+                for a, v in zip(rel, bvals):
+                    if a and v:
+                        r = sub(r, mul(a, v))
+                if r:
+                    moved.append((c, r))
+                    if pivot is None or lv.degs[c] < lv.degs[pivot[0]]:
+                        pivot = (c, r)
+            if j == last:
+                r = target
+                for a, v in zip(self.target, bvals):
+                    if a and v:
+                        r = sub(r, mul(a, v))
+                if r:
+                    if pivot is None:
+                        return False
+                    moved.append((-1, r))
+            if pivot is None:
+                pvals = bvals
+                continue
+            p, rp = pivot
+            prel = lv.rels[p]
+            lv.rels[p] = None
+            irp = inv(rp)
+            for c, r in moved:
+                if c == p:
+                    continue
+                g = mul(r, irp)
+                rel = lv.rels[c] if c >= 0 else self.target
+                for t, a in enumerate(prel):
+                    if a:
+                        rel[t] = sub(rel[t], mul(g, a))
+                rel.append(g)
+            nb = len(lv.basis)
+            for rel in lv.rels:  # the new basis member is absent from the rest
+                if rel is not None and len(rel) == nb:
+                    rel.append(0)
+            if j == last and len(self.target) == nb:
+                self.target.append(0)
+            lv.pos[p] = nb
+            lv.basis.append(p)
+            bvals.append(vals[p])
+            if j < last:
+                self._grow(self.levels[j + 1], lv.mons[p], lv.degs[p], prel)
+            pvals = bvals
+        return True
+
+    @property
+    def exps(self) -> list[tuple[int, ...]]:
+        lv = self.levels[-1]
+        return [lv.mons[c] for c in lv.basis]
+
+    def solution(self) -> list[int]:
+        """The target's coefficients over the last level's basis."""
+        return list(self.target)
+
+
+def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int,
+                rows: int):
+    """The solver system for length-m maps fed at most `rows` rows: a span
+    system when that holds fewer columns than the monomial set (q > 2),
+    else the monomial system; max_monomials bounds the columns built."""
+    q = field.q
+    ncols = monomial_count(m, k, mode, per_var=q - 1)
+    held = m * (min(k, q - 1) + 1) * max(rows, 1)
+    if q > 2 and ncols > held:
+        if held > max_monomials:
+            raise GuardExceeded("span candidate columns", held, max_monomials)
+        return _SpanSystem(field, m, k, mode, rows)
     if ncols > max_monomials:
         raise GuardExceeded("monomial set", ncols, max_monomials)
-    cls = _Gf2System if field.q == 2 else _GenericSystem
+    cls = _Gf2System if q == 2 else _GenericSystem
     return cls(field, m, k, mode)
 
 
@@ -311,7 +474,7 @@ def _feed(system, vals, n: int, m: int) -> bool:
 def _witness_from(system, m: int, k: int, mode: str) -> FeedbackPolynomial:
     sol = system.solution()
     exps = system.exps
-    coeffs = tuple((exps[i], c) for i, c in enumerate(sol) if c)
+    coeffs = tuple(sorted((exps[i], c) for i, c in enumerate(sol) if c))
     return FeedbackPolynomial(m=m, k=k, mode=mode, coeffs=coeffs)
 
 
@@ -346,7 +509,7 @@ def _least_fit(field: Field, vals, n: int, k: int, mode: str,
             if _windows_consistent(vals, n, m, seen):
                 return m, None
         else:
-            system = _new_system(field, m, k, mode, max_monomials)
+            system = _new_system(field, m, k, mode, max_monomials, len(vals) - m)
             if _feed(system, vals, n, m):
                 return m, system
     return None, None
@@ -374,7 +537,7 @@ def _complexity(s: Sequence, k: int, kind: str, max_monomials: int,
     wit = None
     if want_witness:
         if system is None:  # decided by the window scan
-            system = _new_system(s.field, m, k, mode, max_monomials)
+            system = _new_system(s.field, m, k, mode, max_monomials, n - m)
             _feed(system, vals, n, m)
         wit = _witness_from(system, m, k, mode)
     return ComplexityReport(kind, k, n, m, wit)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .complexity import DEFAULT_MAX_MONOMIALS, GuardExceeded, complexity_at_most, profile
@@ -50,6 +49,10 @@ def _sharded(fn, args: tuple, total: int, threads: int) -> list:
     workers = _worker_count(threads, total)
     if workers == 1:
         return [fn(*args, 0, total)]
+    # imported here: multiprocessing is a large import that a one-worker
+    # call, and so every CLI start-up, would otherwise pay for
+    from concurrent.futures import ProcessPoolExecutor
+
     step = -(-total // workers)
     spans = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -100,6 +100,12 @@ def test_witness_replay_property():
                         continue
                     m = rep.witness.m
                     assert rep.witness.replay(f, s.values[:m], len(s)) == s.values
+    # the window scan decides this one; its witness needs 9**8 monomials,
+    # so it comes from a span system
+    s = seq(9, [0] * 8 + [1])
+    rep = cx.max_order_complexity(s)
+    assert rep.value == 8
+    assert rep.witness.replay(s.field, s.values[:8], len(s)) == s.values
 
 
 def test_witness_respects_degree_caps():
