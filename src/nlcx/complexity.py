@@ -174,7 +174,7 @@ class _GenericSystem:
 
     def add(self, window, target: int) -> bool:
         f = self.f
-        sub, mul = f.sub, f.mul
+        add, mul = f.add, f.mul
         row = self._build_row(window, target)
         ncols = self.ncols
         basis = self.basis
@@ -191,10 +191,11 @@ class _GenericSystem:
                     row = row[:c] + [mul(iv, x) for x in row[c:]]
                 basis[c] = row
                 return True
+            nv = f.neg(v)
             for j in range(c, ncols + 1):
                 bj = b[j]
                 if bj:
-                    row[j] = sub(row[j], mul(v, bj))
+                    row[j] = add(row[j], mul(nv, bj))
             c += 1
         return row[ncols] == 0
 
@@ -575,7 +576,7 @@ def _berlekamp_massey(field: Field, vals) -> tuple[list[int], list[int]]:
     the final connection polynomial C(x) = 1 + C[1] x + ... + C[L] x^L with
     sum_j C[j] s_{i-j} == 0, where L = profile[-1]."""
     n = len(vals)
-    add, sub, mul = field.add, field.sub, field.mul
+    add, mul = field.add, field.mul
     C = [1] + [0] * n
     B = [1] + [0] * n
     L, m, b = 0, 1, 1
@@ -587,10 +588,10 @@ def _berlekamp_massey(field: Field, vals) -> tuple[list[int], list[int]]:
         if d == 0:
             m += 1
         else:
-            coef = mul(d, field.inv(b))
+            coef = field.neg(mul(d, field.inv(b)))
             T = C[:] if 2 * L <= i else None
             for j in range(n - m + 1):
-                C[j + m] = sub(C[j + m], mul(coef, B[j]))
+                C[j + m] = add(C[j + m], mul(coef, B[j]))
             if T is None:
                 m += 1
             else:

@@ -3,8 +3,11 @@
 An element is stored as an integer in [0, q): the coefficient vector of
 the residue class, read in base p with the constant term least
 significant.  Multiplication, inversion and powering go through
-exponent / discrete-log tables keyed to a canonical primitive element,
-so they are table lookups after construction.
+exponent / discrete-log tables keyed to a canonical primitive element g,
+so they are table lookups after construction.  A prime field adds and
+subtracts its integers mod p.  An extension field adds and subtracts
+through a Zech-logarithm table, zech[i] = log(1 + g**i), which has
+q - 1 entries: g**i + g**j = g**(i + zech[j - i]).
 
 Canonical choices (all deterministic):
   * modulus: the lexicographically smallest monic irreducible of degree
@@ -143,35 +146,16 @@ class Field:
     """
 
     __slots__ = ("p", "e", "q", "modulus", "primitive",
-                 "_exp", "_log", "_digits", "_neg", "_addtab")
+                 "_exp", "_log", "_zech", "_neg")
 
     def __init__(self, p: int, e: int, modulus, primitive=None):
         q = p ** e
         self.p, self.e, self.q = p, e, q
         self.modulus = tuple(int(c) % p for c in modulus[:-1]) + (1,)
-
-        if e > 1:
-            digits = []
-            for v in range(q):
-                t, row = v, []
-                for _ in range(e):
-                    row.append(t % p)
-                    t //= p
-                digits.append(tuple(row))
-            self._digits = digits
-        else:
-            self._digits = None
-
         self.primitive = self._find_primitive() if primitive is None else primitive
         self._check_order_full(self.primitive)
         self._build_tables()
-
-        self._neg = [self._neg_slow(v) for v in range(q)]
-        if e > 1 and q <= 1024:
-            add = self._add_slow
-            self._addtab = [add(a, b) for a in range(q) for b in range(q)]
-        else:
-            self._addtab = None
+        self._neg = [self.mul(v, p - 1) for v in range(q)]  # p - 1 encodes -1
 
     # -- construction helpers ------------------------------------------------
 
@@ -182,9 +166,13 @@ class Field:
         return v
 
     def coeffs_of(self, v: int) -> tuple[int, ...]:
-        if self.e == 1:
-            return (v,)
-        return self._digits[v]
+        if not 0 <= v < self.q:
+            raise ValueError(f"encoding {v} out of range for q={self.q}")
+        digits = []
+        for _ in range(self.e):
+            v, d = divmod(v, self.p)
+            digits.append(d)
+        return tuple(digits)
 
     def lex_elements(self):
         """Encodings of all elements in constant-term-first lex order."""
@@ -217,36 +205,41 @@ class Field:
                 raise ValueError(f"element {v} does not have order {self.q - 1}")
 
     def _build_tables(self):
+        """exp[i] = g**i, stored twice over so that a sum of two logs needs
+        no reduction; log is its inverse on the units.  For e > 1 also
+        zech[i] = log(1 + g**i), with -1 where 1 + g**i == 0."""
+        p = self.p
         g = self.coeffs_of(self.primitive)
         exp = [1]
         cur = tuple([1] + [0] * (self.e - 1))
         for _ in range(self.q - 2):
-            cur = _poly_mulmod(cur, g, self.modulus, self.p)
+            cur = _poly_mulmod(cur, g, self.modulus, p)
             exp.append(self.encode(cur))
         if len(set(exp)) != self.q - 1:
             raise AssertionError("exponent table does not cover the unit group")
         log = [0] * self.q
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp, self._log = exp, log
-
-    def _neg_slow(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return self.encode((-c) % self.p for c in self._digits[a])
-
-    def _add_slow(self, a: int, b: int) -> int:
-        da, db = self._digits[a], self._digits[b]
-        return self.encode((x + y) % self.p for x, y in zip(da, db))
+        self._zech = None
+        if self.e > 1:
+            # adding 1 raises only the constant (least significant) digit
+            self._zech = [log[w] if w else -1
+                          for w in (v - v % p + (v + 1) % p for v in exp)]
+        self._exp, self._log = exp + exp, log
 
     # -- arithmetic on integer encodings --------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        if self._addtab is not None:
-            return self._addtab[a * self.q + b]
-        return self._add_slow(a, b)
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        # g^i + g^j = g^i (1 + g^(j-i)); a negative j - i wraps like the exponent
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         return self._neg[a]
@@ -257,12 +250,12 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._exp[self.q - 1 - self._log[a]]
 
     def pow(self, a: int, n: int) -> int:
         """a**n; 0**0 == 1 by the empty-product convention."""

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlcx.finite_field import (Field, FieldElement, element_order,
-                               field_of_order, in_cyclic_subgroup, is_prime,
-                               make_field, prime_power)
+from nlcx.finite_field import (Field, FieldElement, _poly_mulmod,
+                               element_order, field_of_order,
+                               in_cyclic_subgroup, is_prime, make_field,
+                               prime_power)
 
 
 def test_is_prime_small():
@@ -160,6 +161,37 @@ def test_coeffs_round_trip():
         assert f.encode(f.coeffs_of(v)) == v
     # constant term is the least significant base-p digit
     assert f.coeffs_of(5) == (2, 1, 0)
+
+
+def test_coeffs_of_rejects_out_of_range():
+    for q, v in ((9, -1), (9, 9), (7, 12), (7, -1)):
+        with pytest.raises(ValueError, match=f"encoding {v} out of range for q={q}"):
+            field_of_order(q).coeffs_of(v)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 27, 49, 1024, 2048, 2187, 3125])
+def test_arithmetic_matches_digitwise_oracle(q):
+    # add/sub/neg digit by digit mod p, mul as polynomials mod the modulus
+    f = field_of_order(q)
+    p = f.p
+    if q <= 49:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:  # a fixed list: 0, 1, -1, q - 1 and one scattered partner per a
+        pairs = [(a, b) for a in range(0, q, 7)
+                 for b in (0, 1, p - 1, q - 1, (31 * a + 5) % q)]
+        pairs += [(a, f.neg(a)) for a in range(q)]
+    for a, b in pairs:
+        ca, cb = f.coeffs_of(a), f.coeffs_of(b)
+        assert f.add(a, b) == f.encode(x + y for x, y in zip(ca, cb))
+        assert f.sub(a, b) == f.encode(x - y for x, y in zip(ca, cb))
+        assert f.mul(a, b) == f.encode(_poly_mulmod(ca, cb, f.modulus, p))
+    for a in range(q):
+        assert f.neg(a) == f.encode(-x for x in f.coeffs_of(a))
+        assert f.add(a, f.neg(a)) == 0
+    # the one exponent i with 1 + g**i == 0: g**i is -1
+    i = 0 if p == 2 else (q - 1) // 2
+    assert f.pow(f.primitive, i) == p - 1
+    assert f.add(1, f.pow(f.primitive, i)) == 0
 
 
 def test_lex_elements_order():
