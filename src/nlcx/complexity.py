@@ -172,32 +172,41 @@ class _GenericSystem:
         row.append(target)
         return row
 
-    def add(self, window, target: int) -> bool:
+    def reduce(self, row: list[int]) -> int:
+        """Eliminate row in place against the basis, column by column, up
+        to the first nonzero column that has no basis row; return that
+        column, or ncols when every monomial column reduces to zero.  Only
+        row is written, so removing a basis row undoes its add()."""
         f = self.f
-        add, mul = f.add, f.mul
-        row = self._build_row(window, target)
+        add, mul, neg = f.add, f.mul, f.neg
         ncols = self.ncols
         basis = self.basis
-        c = 0
-        while c < ncols:
+        for c in range(ncols):
             v = row[c]
             if v == 0:
-                c += 1
                 continue
             b = basis.get(c)
             if b is None:
-                if v != 1:
-                    iv = f.inv(v)
-                    row = row[:c] + [mul(iv, x) for x in row[c:]]
-                basis[c] = row
-                return True
-            nv = f.neg(v)
+                return c
+            nv = neg(v)
             for j in range(c, ncols + 1):
                 bj = b[j]
                 if bj:
                     row[j] = add(row[j], mul(nv, bj))
-            c += 1
-        return row[ncols] == 0
+        return ncols
+
+    def add(self, window, target: int) -> bool:
+        row = self._build_row(window, target)
+        c = self.reduce(row)
+        if c == self.ncols:
+            return row[c] == 0
+        v = row[c]
+        if v != 1:
+            iv = self.f.inv(v)
+            mul = self.f.mul
+            row = row[:c] + [mul(iv, x) for x in row[c:]]
+        self.basis[c] = row
+        return True
 
     def solution(self) -> list[int]:
         """Pivot variables by back-substitution, free variables zero."""

@@ -208,13 +208,31 @@ class Field:
         """exp[i] = g**i, stored twice over so that a sum of two logs needs
         no reduction; log is its inverse on the units.  For e > 1 also
         zech[i] = log(1 + g**i), with -1 where 1 + g**i == 0."""
-        p = self.p
+        p, e = self.p, self.e
         g = self.coeffs_of(self.primitive)
+        # Multiplying by g is F_p-linear on the digits: v * g sums d * x^j g
+        # over the digits d of v.  The images are added as integers with one
+        # w-bit slot per digit, wide enough that no slot carries, and each
+        # slot is reduced mod p once.
+        w = (e * (p - 1) ** 2).bit_length()
+        mask = (1 << w) - 1
+        images = []
+        for j in range(e):
+            img = _poly_mulmod(tuple(int(i == j) for i in range(e)), g,
+                               self.modulus, p)
+            images.append([sum(d * c << w * i for i, c in enumerate(img))
+                           for d in range(p)])
+        shifts = range(w * (e - 1), -1, -w)
         exp = [1]
-        cur = tuple([1] + [0] * (self.e - 1))
+        cur = 1
         for _ in range(self.q - 2):
-            cur = _poly_mulmod(cur, g, self.modulus, p)
-            exp.append(self.encode(cur))
+            acc = 0
+            for image in images:
+                cur, d = divmod(cur, p)
+                acc += image[d]
+            for s in shifts:  # cur is 0 here: rebuild it, top digit first
+                cur = cur * p + (acc >> s & mask) % p
+            exp.append(cur)
         if len(set(exp)) != self.q - 1:
             raise AssertionError("exponent table does not cover the unit group")
         log = [0] * self.q

@@ -1,8 +1,9 @@
 """Counting and Monte Carlo experiments.
 
-exhaustive_count enumerates every length-n sequence over F_q and counts
-those whose per-variable-cap complexity is at most m, checking the count
-against the closed form q^((k+1)^m + m).  monte_carlo_profile draws
+exhaustive_count counts the length-n sequences over F_q whose
+per-variable-cap complexity is at most m by walking the tree of their
+prefixes with one length-m feedback system, and checks the count against
+the closed form q^((k+1)^m + m).  monte_carlo_profile draws
 seeded random sequences, computes their complexity profiles and
 aggregates per-length statistics against the reference curve
 ref = log(n)/log(k+1).  That curve is a lower-tail reference: the
@@ -18,7 +19,8 @@ import math
 import os
 from dataclasses import dataclass
 
-from .complexity import DEFAULT_MAX_MONOMIALS, GuardExceeded, complexity_at_most, profile
+from .complexity import (DEFAULT_MAX_MONOMIALS, GuardExceeded, _GenericSystem,
+                         _full_function_space, monomial_count, profile)
 from .finite_field import field_of_order
 from .generators import child_seed, random_sequence
 
@@ -59,18 +61,85 @@ def _sharded(fn, args: tuple, total: int, threads: int) -> list:
         return list(pool.map(fn, *zip(*[args + span for span in spans])))
 
 
-def _count_range(q: int, k: int, n: int, m: int, start: int, stop: int) -> int:
+def _walk(q: int, k: int, n: int, m: int, budget: int,
+          lo: int, hi: int) -> tuple[int, int]:
+    """(count, nodes) of the prefix-tree walk under the roots lo..hi - 1,
+    the first windows by integer code; it stops once nodes exceeds budget.
+
+    A node is a prefix of length L, m <= L <= n, that one length-m map
+    fits; the equation at L is the window vals[L - m:L].  When the
+    window's row reduces to zero the next term is forced, else each of
+    the q terms fixes the same new pivot.  A child stores its pivot row
+    (its window's term under the window scan) on the way down and an undo
+    mark below its siblings deletes it, so one system serves the walk.
+    """
     field = field_of_order(q)
-    count = 0
+    neg, mul, add, inv = field.neg, field.mul, field.add, field.inv
+    if _full_function_space(field, k, "each"):
+        system, store = None, {}
+    else:
+        system = _GenericSystem(field, m, k, "each")
+        store, build, reduce, ncols = (system.basis, system._build_row,
+                                       system.reduce, system.ncols)
+    terms = range(q - 1, -1, -1)
     vals = [0] * n
-    for code in range(start, stop):
-        t = code
-        for i in range(n):
-            vals[i] = t % q
-            t //= q
-        if complexity_at_most(field, vals, k, m):
-            count += 1
-    return count
+    count = nodes = 0
+    for code in range(lo, hi):
+        for i in range(m):
+            code, vals[i] = divmod(code, q)
+        nodes += 1
+        L = m
+        todo = []  # (key, term, L, pivot row, its inverse scale); term -1: undo
+        while nodes <= budget:
+            if system is None:
+                key = tuple(vals[L - m:L])
+                t = store.get(key)
+                branch = t is None
+                row = iv = None
+            else:
+                row = build(vals[L - m:L], 0)
+                key = reduce(row)
+                branch = key < ncols
+                if branch:
+                    iv = inv(row[key])
+                    row = [mul(iv, x) for x in row]
+                else:
+                    t = neg(row[ncols])
+            if L + 1 == n:  # the children are leaves
+                leaves = q if branch else 1
+                count += leaves
+                nodes += leaves
+            elif not branch:
+                vals[L] = t
+                L += 1
+                nodes += 1
+                continue
+            else:
+                todo.append((key, -1, 0, None, 0))
+                todo.extend((key, t, L, row, iv) for t in terms)
+            # enter the next pending child, undoing finished branches on the
+            # way; an empty stack ends this root
+            while todo:
+                key, t, L, row, iv = todo.pop()
+                if t < 0:
+                    del store[key]
+                    continue
+                if system is None:
+                    store[key] = t
+                else:
+                    # the target t enters the pivot row's augmented entry
+                    row = row[:]
+                    row[ncols] = add(row[ncols], mul(iv, t))
+                    store[key] = row
+                vals[L] = t
+                L += 1
+                nodes += 1
+                break
+            else:
+                break
+        if nodes > budget:
+            break
+    return count, nodes
 
 
 def exhaustive_count(q: int, k: int, n: int, m: int, *,
@@ -78,26 +147,42 @@ def exhaustive_count(q: int, k: int, n: int, m: int, *,
                      threads: int = 1) -> CountResult:
     """Count sequences of length n over F_q with complexity <= m.
 
-    Sequences are enumerated by integer code, the least significant
-    base-q digit being the first term.
+    For n > m >= 1 that holds exactly when one length-m feedback map of
+    degree <= k in each variable fits: a shorter map lifts to length m by
+    ignoring its leading variables, and the zero map fits the zero
+    sequence.  So no sequence is enumerated: the count walks the tree of
+    prefixes that such a map fits, depth first from the q^m first windows,
+    sharded over those roots.  max_sequences bounds the nodes it visits.
+    The walk visits at least q^m + n - m of them, the roots and the
+    all-zero path, and that is checked before any work, with m >= n - 1
+    counted as n - 1 since every sequence has complexity <= n - 1.
     """
-    field_of_order(q)  # validates q
+    field = field_of_order(q)  # validates q
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
-    total = q ** n
-    if total > max_sequences:
-        raise GuardExceeded("sequence enumeration", total, max_sequences)
+    low = min(m, n - 1)
+    least = q ** low + n - low
+    if least > max_sequences:
+        raise GuardExceeded("count walk nodes", least, max_sequences)
     bound = q ** ((k + 1) ** m + m)
-    if n == 1:
-        count = total if m >= 1 else 1
+    if m == 0:
+        count = 1  # only the zero sequence
     elif m >= n - 1:
-        count = total  # every sequence has complexity <= n - 1
+        count = q ** n
     else:
-        count = sum(_sharded(_count_range, (q, k, n, m), total, threads))
+        if not _full_function_space(field, k, "each"):
+            ncols = monomial_count(m, k, "each", per_var=q - 1)
+            if ncols > DEFAULT_MAX_MONOMIALS:
+                raise GuardExceeded("monomial set", ncols, DEFAULT_MAX_MONOMIALS)
+        parts = _sharded(_walk, (q, k, n, m, max_sequences), q ** m, threads)
+        nodes = sum(part[1] for part in parts)
+        if nodes > max_sequences:
+            raise GuardExceeded("count walk nodes", nodes, max_sequences)
+        count = sum(part[0] for part in parts)
     return CountResult(q=q, k=k, n=n, m=m, count=count, bound=bound,
                        passed=count <= bound)
 

@@ -184,10 +184,16 @@ def test_count_csv(capsys):
 
 
 def test_count_guard_exit_2(capsys):
-    code, _, err = run(capsys, "count", "--q", "2", "--k", "1",
+    # the guard bounds the nodes of the count's walk, not q^n
+    code, out, _ = run(capsys, "count", "--q", "2", "--k", "1",
                        "--n", "64", "--m", "2")
-    assert code == 2
-    assert "guard" in err
+    assert code == 0
+    assert out.splitlines()[-1] == "2,1,64,2,26,64,true"
+    for n, q in (("1000000000", "2"), ("3", "2053")):
+        code, _, err = run(capsys, "count", "--q", q, "--k", "1",
+                           "--n", n, "--m", "1" if q == "2053" else "2")
+        assert code == 2
+        assert "guard exceeded: count walk nodes" in err
 
 
 def test_profile_csv_and_grid(capsys):

@@ -111,6 +111,18 @@ def test_exp_log_consistency(q):
     assert seen == set(range(1, q))
 
 
+def test_exp_table_steps_by_the_primitive():
+    # exp[i + 1] == exp[i] * g as polynomials mod the modulus: every step
+    # for every field up to q = 1024, every 61st above
+    qs = [q for q in range(2, 1025) if prime_power(q)]
+    for q in qs + [2048, 2187, 3125, 4096, 59049, 65536]:
+        f = field_of_order(q)
+        g = f.coeffs_of(f.primitive)
+        for i in range(0, q - 1, 1 if q <= 1024 else 61):
+            step = _poly_mulmod(f.coeffs_of(f._exp[i]), g, f.modulus, f.p)
+            assert f._exp[i + 1] == f.encode(step), (q, i)
+
+
 def test_element_orders_divide_group_order():
     f = field_of_order(9)
     for a in range(1, 9):

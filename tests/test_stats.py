@@ -60,17 +60,75 @@ def test_count_monotone_in_m():
     assert stats.exhaustive_count(2, 1, 5, 3).count == 30
 
 
+def _count_by_enumeration(q: int, k: int, n: int, m: int) -> int:
+    """The oracle: complexity_at_most on each of the q^n sequences, by
+    integer code with the first term the least significant digit."""
+    field = field_of_order(q)
+    count = 0
+    vals = [0] * n
+    for code in range(q ** n):
+        for i in range(n):
+            code, vals[i] = divmod(code, q)
+        if cx.complexity_at_most(field, vals, k, m):
+            count += 1
+    return count
+
+
+# criterion 7's grid, then sets over F_3, F_4 and F_5 at k = 1 and 2: the
+# window walk where k >= q - 1, the elimination walk elsewhere
+ORACLE_SETS = ([(2, 1, n, m) for n in range(3, 13) for m in (1, 2, 3)]
+               + [(3, 1, 7, 2), (3, 1, 7, 3), (4, 1, 6, 2), (5, 2, 5, 2),
+                  (4, 2, 6, 2), (3, 2, 7, 2), (5, 1, 5, 1), (3, 1, 8, 1)])
+
+
+def test_count_walk_matches_enumeration():
+    for q, k, n, m in ORACLE_SETS:
+        assert stats.exhaustive_count(q, k, n, m).count == \
+            _count_by_enumeration(q, k, n, m), (q, k, n, m)
+
+
+def test_count_pinned_and_reach_values():
+    # the two counts of the benchmark's experiments workload, which the
+    # enumeration reached in seconds, then lengths that no enumeration reaches
+    assert stats.exhaustive_count(2, 1, 17, 4).count == 6010
+    assert stats.exhaustive_count(3, 1, 9, 3).count == 12297
+    assert stats.exhaustive_count(2, 1, 64, 2).count == 26
+    assert stats.exhaustive_count(2, 1, 64, 4).count == 7882
+
+
+def test_count_walk_needs_no_recursion():
+    # 5000 levels deep, past the interpreter's recursion limit
+    assert stats.exhaustive_count(2, 1, 5000, 1).count == 6
+
+
 def test_count_guard():
-    with pytest.raises(cx.GuardExceeded):
-        stats.exhaustive_count(2, 1, 40, 2)
-    with pytest.raises(cx.GuardExceeded):
-        stats.exhaustive_count(2, 1, 10, 2, max_sequences=100)
+    # max_sequences bounds the nodes the walk visits, not q^n: 2^40
+    # sequences take 958 nodes
+    assert stats.exhaustive_count(2, 1, 40, 2).count == 26
+    with pytest.raises(cx.GuardExceeded, match="count walk nodes"):
+        stats.exhaustive_count(2, 1, 10, 2, max_sequences=100)  # 178 nodes
+    # 2053 roots with up to 2053 children each, over the default budget
+    with pytest.raises(cx.GuardExceeded, match="count walk nodes"):
+        stats.exhaustive_count(2053, 1, 3, 1)
+    # the roots and the all-zero path, q^m + n - m, are checked up front
+    with pytest.raises(cx.GuardExceeded, match="size 1000000002 exceeds"):
+        stats.exhaustive_count(2, 1, 10 ** 9, 2)
 
 
 def test_count_thread_invariance():
-    a = stats.exhaustive_count(2, 1, 8, 2, threads=1)
-    b = stats.exhaustive_count(2, 1, 8, 2, threads=3)
-    assert a == b
+    for args in ((2, 1, 8, 2), (3, 1, 9, 3)):
+        a = stats.exhaustive_count(*args, threads=1)
+        b = stats.exhaustive_count(*args, threads=3)
+        assert a == b
+    # (3, 1, 8, 2) visits 1491 nodes; the guard trips below that at any
+    # worker count, though no shard alone then exceeds it
+    assert stats._walk(3, 1, 8, 2, 10 ** 9, 0, 9) == (423, 1491)
+    for threads in (1, 3):
+        assert stats.exhaustive_count(3, 1, 8, 2, max_sequences=1491,
+                                      threads=threads).count == 423
+        with pytest.raises(cx.GuardExceeded, match="count walk nodes"):
+            stats.exhaustive_count(3, 1, 8, 2, max_sequences=1490,
+                                   threads=threads)
 
 
 def test_worker_count_is_clamped(monkeypatch):
