@@ -120,8 +120,8 @@ def _periodic_sequences(q, d, b, c, periods, n_max, **_):
         yield inversive_periodic(field, dd, n_len, b=b, c=c), {"d": dd}
 
 
-def _hermitian_sequences(ell, **_):
-    yield hermitian_sequence(ell), {"ell": ell}
+def _hermitian_sequences(ell, allow_large, **_):
+    yield hermitian_sequence(ell, allow_large=allow_large), {"ell": ell}
 
 
 @dataclass(frozen=True)
@@ -152,18 +152,21 @@ def verify(construction: str, *, q: Optional[int] = None,
            ell: Optional[int] = None, k_values=(1, 2),
            kinds: Optional[tuple] = None, d: Optional[int] = None,
            b=1, c=None, a=1, periods: int = 3, n_max: Optional[int] = None,
-           max_monomials: int = cx.DEFAULT_MAX_MONOMIALS) -> list[BoundCheck]:
+           max_monomials: int = cx.DEFAULT_MAX_MONOMIALS,
+           allow_large: bool = False) -> list[BoundCheck]:
     """Sweep every prefix length and requested degree cap of one
     construction and compare exact complexities against the catalog
     bounds.  Returns one BoundCheck per (kind, k, n); linear complexity
-    is checked at k = 1 only."""
+    is checked at k = 1 only.  allow_large lets a Hermitian ell exceed
+    hermitian.DEFAULT_MAX_ELL."""
     k_values = sorted(set(int(k) for k in k_values))
     if any(k < 1 for k in k_values):
         raise ValueError("degree caps must be >= 1")
     entry = _CATALOG.get(construction)
     if entry is None:
         raise ValueError(f"no bound catalog entry for construction {construction!r}")
-    params = dict(q=q, ell=ell, d=d, a=a, b=b, c=c, periods=periods, n_max=n_max)
+    params = dict(q=q, ell=ell, d=d, a=a, b=b, c=c, periods=periods, n_max=n_max,
+                  allow_large=allow_large)
     if params[entry.param] is None:
         raise ValueError(f"{construction} verification needs {entry.param}")
     kinds = entry.kinds if kinds is None else kinds

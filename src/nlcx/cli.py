@@ -170,7 +170,8 @@ def cmd_verify(args) -> int:
     k_values = list(range(1, args.kmax + 1))
     checks = bounds.verify(args.construction, q=args.q, ell=args.ell,
                            k_values=k_values, kinds=kinds, d=args.d,
-                           periods=args.periods, n_max=args.n_max)
+                           periods=args.periods, n_max=args.n_max,
+                           allow_large=bool(args.allow_large))
     summary = bounds.summarize(checks)
     if args.format == "json":
         doc = {"schema": SCHEMA, "summary": summary, "meta": _meta(args),
@@ -341,6 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--periods", type=int, default=3,
                    help="periodic sweep length as a multiple of d")
     v.add_argument("--n-max", type=int)
+    # default None, not False: the params stanza of a run without the
+    # flag stays as it was before the flag existed
+    v.add_argument("--allow-large", action="store_true", default=None,
+                   help="allow Hermitian ell beyond the default range")
     v.add_argument("--format", choices=["csv", "json"], default="csv")
     common(v)
     v.set_defaults(func=cmd_verify)

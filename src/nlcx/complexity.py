@@ -6,7 +6,9 @@ s_{i+m} = f(s_i, ..., s_{i+m-1}).  For fixed m the existence of f is a
 linear question in the coefficients of f, decided exactly over the field:
 by Gaussian elimination over the monomial columns when there are few of
 them, and otherwise by a column-space system that never lists the
-monomials (_new_system picks by size).  Two degree regimes are supported:
+monomials (_new_system picks by size).  Elimination runs on packed rows,
+one int per base-p digit plane, in the same way over every field; over
+F_2 a row is a bitmask.  Two degree regimes are supported:
 degree at most k in every variable separately ("each"), and total degree
 at most k ("total").  Linear complexity is computed by Berlekamp-Massey.
 
@@ -141,170 +143,226 @@ class ComplexityReport:
 # grow systems incrementally; add() returns False at the first row that
 # makes the system inconsistent.
 
-class _GenericSystem:
+def _slot_rule(p: int, e: int) -> tuple[int, int, int]:
+    """(w, magic, shift) of packed rows over F_(p**e).  At p = 2 a slot is
+    one bit and addition is xor.  Otherwise a slot holds a digit plus e
+    products of two digits before it is reduced, at most top; then
+    x - p * ((x * magic) >> shift) is x mod p for every x <= top, since
+    top * (magic * p - 2**shift) < 2**shift, and w fits x * magic."""
+    if p == 2:
+        return 1, 0, 0
+    top = (p - 1) * (1 + e * (p - 1))
+    shift = (top * (p - 1)).bit_length()
+    magic = -(-(1 << shift) // p)
+    return (top * magic).bit_length(), magic, shift
+
+
+class _PackedSystem:
+    """Monomial system on packed rows, for every field.
+
+    A row is e ints, one per base-p digit plane of F_(p**e): the digit of
+    column c sits in the w-bit slot at bit c * w, and the augmented entry
+    in slot ncols.  row += a * b applies the F_p-matrix of x -> a * x to
+    b's planes and reduces every slot mod p at once (see _slot_rule).  A
+    row is eliminated against the pivot rows in column order and stored
+    scaled to 1 at its pivot, so the pivots are the lex-first columns.
+    """
+
     def __init__(self, field: Field, m: int, k: int, mode: str):
         self.f = field
         self.m, self.k, self.mode = m, k, mode
-        self.kcap = min(k, field.q - 1)
-        self.exps = monomial_exponents(m, k, mode, per_var=self.kcap)
-        self.supports = [tuple((j, e) for j, e in enumerate(E) if e) for E in self.exps]
-        self.ncols = len(self.exps)
+        self.kcap = cap = min(k, field.q - 1)
+        self.ncols = monomial_count(m, k, mode, per_var=cap)
         self.basis: dict[int, list[int]] = {}
-
-    def _build_row(self, window, target: int) -> list[int]:
-        f = self.f
-        k = self.kcap
-        pw = [[1] + [f.pow(v, e) for e in range(1, k + 1)] for v in window]
-        if self.mode == "each":
-            row = [1]
-            for j in range(self.m):
-                pj = pw[j]
-                row = [f.mul(r, pj[e]) if e else r for r in row for e in range(k + 1)]
-        else:
-            row = []
-            for sup in self.supports:
-                term = 1
-                for j, e in sup:
-                    term = f.mul(term, pw[j][e])
-                    if term == 0:
-                        break
-                row.append(term)
-        row.append(target)
-        return row
-
-    def reduce(self, row: list[int]) -> int:
-        """Eliminate row in place against the basis, column by column, up
-        to the first nonzero column that has no basis row; return that
-        column, or ncols when every monomial column reduces to zero.  Only
-        row is written, so removing a basis row undoes its add()."""
-        f = self.f
-        add, mul, neg = f.add, f.mul, f.neg
-        ncols = self.ncols
-        basis = self.basis
-        for c in range(ncols):
-            v = row[c]
-            if v == 0:
-                continue
-            b = basis.get(c)
-            if b is None:
-                return c
-            nv = neg(v)
-            for j in range(c, ncols + 1):
-                bj = b[j]
-                if bj:
-                    row[j] = add(row[j], mul(nv, bj))
-        return ncols
-
-    def add(self, window, target: int) -> bool:
-        row = self._build_row(window, target)
-        c = self.reduce(row)
-        if c == self.ncols:
-            return row[c] == 0
-        v = row[c]
-        if v != 1:
-            iv = self.f.inv(v)
-            mul = self.f.mul
-            row = row[:c] + [mul(iv, x) for x in row[c:]]
-        self.basis[c] = row
-        return True
-
-    def solution(self) -> list[int]:
-        """Pivot variables by back-substitution, free variables zero."""
-        f = self.f
-        sol = [0] * self.ncols
-        for c in sorted(self.basis, reverse=True):
-            row = self.basis[c]
-            acc = row[self.ncols]
-            for j in range(c + 1, self.ncols):
-                rj = row[j]
-                if rj and sol[j]:
-                    acc = f.sub(acc, f.mul(rj, sol[j]))
-            sol[c] = acc
-        return sol
-
-
-class _Gf2System:
-    """F_2 specialization: a row is one integer bitmask, the augmented bit
-    is the highest index, elimination is xor with pivot at the lowest set
-    bit."""
-
-    def __init__(self, field: Field, m: int, k: int, mode: str):
-        self.f = field
-        self.m, self.k, self.mode = m, k, mode
-        self.ncols = monomial_count(m, k, mode, per_var=1)
-        self._exps: Optional[list] = None  # built lazily for witnesses
-        # exponents are capped at q - 1 = 1, so every "each" basis here is
-        # the multilinear one regardless of k
-        self._fast = mode == "each"
-        if not self._fast:
-            self._exps = monomial_exponents(m, k, mode, per_var=1)
-            self._supports = [tuple(j for j, e in enumerate(E) if e) for E in self._exps]
-        self.basis: dict[int, int] = {}
+        self.p, self.e = field.p, field.e
+        w, magic, shift = _slot_rule(self.p, self.e)
+        self.w, self._magic, self._shift = w, magic, shift
+        self._slot = (1 << w) - 1
+        # the low w - shift bits of every slot
+        ones = ((1 << (self.ncols + 1) * w) - 1) // self._slot
+        self._low = ones * ((1 << w - shift) - 1)
+        self._exps: Optional[list] = None
+        # build_row's blocks per variable, from the last: (b, e, source
+        # budget, bit offset) places x_j**e times the source at the offset
+        # in budget b's row, for each e >= 1 (see build_row)
+        total = mode == "total"
+        cols = [1] * (k + 1 if total else 1)
+        self._plan = []
+        for _ in range(m):
+            blocks = []
+            for b in range(k, 0, -1) if total else (0,):
+                at = cols[b]
+                for e in range(1, min(cap, b) + 1 if total else cap + 1):
+                    src = b - e if total else 0
+                    blocks.append((b, e, src, at * w))
+                    at += cols[src]
+                cols[b] = at
+            self._plan.append(blocks)
 
     @property
     def exps(self) -> list[tuple[int, ...]]:
         if self._exps is None:
-            self._exps = monomial_exponents(self.m, self.k, self.mode, per_var=1)
+            self._exps = monomial_exponents(self.m, self.k, self.mode, per_var=self.kcap)
         return self._exps
 
-    def _build_row(self, window, target: int) -> int:
-        m = self.m
-        if self._fast:
-            # Monomials are subsets of variables; the monomial value is 1
-            # exactly when the subset lies inside the window's support, so
-            # the row is the sum of 2**index over submasks of the support.
-            sup = 0
-            for j, v in enumerate(window):
-                if v:
-                    sup |= 1 << (m - 1 - j)
-            row = 1
-            while sup:
-                low = sup & -sup
-                row |= row << (1 << (low.bit_length() - 1))
-                sup ^= low
-            if target:
-                row |= 1 << self.ncols
+    def _mod(self, x: int) -> int:
+        return x - self.p * ((x * self._magic >> self._shift) & self._low)
+
+    def _times(self, a: int, planes: list[int]) -> list[int]:
+        """a * planes; at odd p each slot is left unreduced, a sum of at
+        most e digit products."""
+        if self.e == 1:  # the matrix of x -> a * x is a
+            return [a * planes[0]]
+        p, out = self.p, [0] * self.e
+        for j, b in enumerate(planes):  # a * x**j carries plane j to its digits
+            if not b:
+                continue
+            v = self.f.mul(a, p ** j)
+            for i in range(self.e):
+                v, d = divmod(v, p)
+                if d:
+                    out[i] = out[i] ^ b if p == 2 else out[i] + d * b
+        return out
+
+    def scaled(self, row: list[int], a: int) -> list[int]:
+        """a * row, a nonzero."""
+        if a == 1:
             return row
-        row = 0
-        for idx, sup in enumerate(self._supports):
-            val = 1
-            for j in sup:
-                if not window[j]:
-                    val = 0
+        out = self._times(a, row)
+        return out if self.p == 2 else [self._mod(x) for x in out]
+
+    def axpy(self, row: list[int], a: int, b: list[int]):
+        """row += a * b, in place."""
+        for i, x in enumerate(self._times(a, b)):
+            row[i] = row[i] ^ x if self.p == 2 else self._mod(row[i] + x)
+
+    def entry(self, row: list[int], c: int) -> int:
+        """The field element in column c of row."""
+        if len(row) == 1:
+            return row[0] >> c * self.w & self._slot
+        v = 0
+        for x in reversed(row):
+            v = v * self.p + (x >> c * self.w & self._slot)
+        return v
+
+    def put(self, row: list[int], c: int, v: int) -> list[int]:
+        """A copy of row with v in column c."""
+        keep, out = ~(self._slot << c * self.w), []
+        for x in row:
+            v, d = divmod(v, self.p)
+            out.append(x & keep | d << c * self.w)
+        return out
+
+    def build_row(self, window, target: int) -> list[int]:
+        """The row of one equation, built from the last variable to the
+        first: the monomials led by x_j**e are x_j**e times those in the
+        later variables, and lex order lists them in blocks by e.  While
+        it grows, the row is one int holding its planes at a stride of
+        ncols + 1 slots, so a block is placed with one shift."""
+        e, stride = self.e, (self.ncols + 1) * self.w
+        # level[b]: the row of the monomials in the later variables, in
+        # "total" mode those of total degree <= b; it is its own e = 0 block
+        level = [1] * (self.k + 1 if self.mode == "total" else 1)
+        for v, blocks in zip(reversed(window), self._plan):
+            if not v:  # every block after the e = 0 one is zero
+                continue
+            # "each" mode reads level[0] as it was before this variable;
+            # "total" mode reads budgets below b, not yet rewritten
+            base = level[0]
+            for b, d, src, at in blocks:
+                y = level[src] if src else base
+                a = v if d == 1 else self.f.pow(v, d)
+                if a == 1:
+                    level[b] |= y << at
+                elif e == 1:
+                    level[b] |= self._mod(a * y) << at
+                else:
+                    y = self.scaled(self._unstacked(y), a)
+                    level[b] |= sum(z << i * stride for i, z in enumerate(y)) << at
+        if e == 1:
+            return [level[-1] | target << self.ncols * self.w]
+        return self.put(self._unstacked(level[-1]), self.ncols, target)
+
+    def _unstacked(self, x: int) -> list[int]:
+        """The planes of a row stacked as in build_row."""
+        stride = (self.ncols + 1) * self.w
+        return [x >> i * stride & ((1 << stride) - 1) for i in range(self.e)]
+
+    def reduce(self, row: list[int]) -> int:
+        """Eliminate row in place against the pivot rows, lowest column
+        first, up to the first nonzero column that has no pivot row;
+        return that column, or ncols when every monomial column reduces
+        to zero.  Only row is written, so deleting a pivot row undoes its
+        add()."""
+        basis, p, w, ncols = self.basis, self.p, self.w, self.ncols
+        if self.e > 1:  # the pivot is the lowest nonzero slot of the planes' or
+            while True:
+                o = 0
+                for x in row:
+                    o |= x
+                c = ((o & -o).bit_length() - 1) // w
+                if not 0 <= c < ncols:
+                    return ncols
+                b = basis.get(c)
+                if b is None:
+                    return c
+                self.axpy(row, self.f.neg(self.entry(row, c)), b)
+        # one plane; basis has no row at the augmented column ncols
+        x, c, slot, mod = row[0], ncols, self._slot, self._mod
+        if p == 2:  # F_2: the pivot is the lowest set bit, its entry 1
+            while x:
+                c = (x & -x).bit_length() - 1
+                b = basis.get(c)
+                if b is None:
                     break
-            if val:
-                row |= 1 << idx
-        if target:
-            row |= 1 << self.ncols
-        return row
+                x ^= b[0]
+        else:  # F_p: -v * b is an integer multiple of b
+            while x:
+                c = ((x & -x).bit_length() - 1) // w
+                b = basis.get(c)
+                if b is None:
+                    break
+                x = mod(x + (p - (x >> c * w & slot)) * b[0])
+        row[0] = x
+        return c if x and c < ncols else ncols
 
     def add(self, window, target: int) -> bool:
-        row = self._build_row(window, target)
-        basis = self.basis
-        aug_bit = 1 << self.ncols
-        while row:
-            low = row & -row
-            if low == aug_bit:
-                return False
-            p = low.bit_length() - 1
-            b = basis.get(p)
-            if b is None:
-                basis[p] = row
-                return True
-            row ^= b
+        row = self.build_row(window, target)
+        c = self.reduce(row)
+        if c == self.ncols:
+            return not any(row)
+        v = self.entry(row, c)
+        self.basis[c] = row if v == 1 else self.scaled(row, self.f.inv(v))
         return True
 
     def solution(self) -> list[int]:
-        ncols = self.ncols
-        sol_bits = 0
-        for p in sorted(self.basis, reverse=True):
-            row = self.basis[p]
-            rhs = (row >> ncols) & 1
-            above = (row >> (p + 1)) & ((1 << (ncols - p - 1)) - 1)
-            rhs ^= (above & (sol_bits >> (p + 1))).bit_count() & 1
-            if rhs:
-                sol_bits |= 1 << p
-        return [(sol_bits >> c) & 1 for c in range(ncols)]
+        """Pivot variables by back-substitution, free variables zero.  A
+        pivot row's dot product with the solution sums, over pairs of
+        planes (i, j), x**i * x**j times their digit products mod p,
+        counted by popcounts against bit masks of the solution."""
+        f, p, e, w = self.f, self.p, self.e, self.w
+        nbits = (p - 1).bit_length()
+        cross = [[f.mul(p ** i, p ** j) for j in range(e)] for i in range(e)]
+        # masks[j][u]: the low bit of each column whose solved value has
+        # bit u set in its digit j
+        masks = [[0] * nbits for _ in range(e)]
+        sol = [0] * self.ncols
+        for c in sorted(self.basis, reverse=True):
+            row = self.basis[c]
+            acc = self.entry(row, self.ncols)
+            for i, plane in enumerate(row):
+                for j in range(e):
+                    dot = sum((plane >> t & s).bit_count() << t + u
+                              for t in range(nbits) for u, s in enumerate(masks[j]))
+                    if dot % p:
+                        acc = f.sub(acc, f.mul(dot % p, cross[i][j]))
+            sol[c] = v = acc
+            for j in range(e):
+                v, d = divmod(v, p)
+                for u in range(nbits):
+                    if d >> u & 1:
+                        masks[j][u] |= 1 << c * w
+        return sol
 
 
 class _SpanLevel:
@@ -469,8 +527,7 @@ def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int,
         return _SpanSystem(field, m, k, mode, rows)
     if ncols > max_monomials:
         raise GuardExceeded("monomial set", ncols, max_monomials)
-    cls = _Gf2System if q == 2 else _GenericSystem
-    return cls(field, m, k, mode)
+    return _PackedSystem(field, m, k, mode)
 
 
 def _feed(system, vals, n: int, m: int) -> bool:

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
-from .complexity import (DEFAULT_MAX_MONOMIALS, GuardExceeded, _GenericSystem,
+from .complexity import (DEFAULT_MAX_MONOMIALS, GuardExceeded, _PackedSystem,
                          _full_function_space, monomial_count, profile)
 from .finite_field import field_of_order
 from .generators import child_seed, random_sequence
@@ -78,9 +79,9 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
     if _full_function_space(field, k, "each"):
         system, store = None, {}
     else:
-        system = _GenericSystem(field, m, k, "each")
-        store, build, reduce, ncols = (system.basis, system._build_row,
-                                       system.reduce, system.ncols)
+        system = _PackedSystem(field, m, k, "each")
+        store, ncols = system.basis, system.ncols
+        build, reduce, entry = system.build_row, system.reduce, system.entry
     terms = range(q - 1, -1, -1)
     vals = [0] * n
     count = nodes = 0
@@ -101,10 +102,10 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
                 key = reduce(row)
                 branch = key < ncols
                 if branch:
-                    iv = inv(row[key])
-                    row = [mul(iv, x) for x in row]
+                    iv = inv(entry(row, key))
+                    row = system.scaled(row, iv)
                 else:
-                    t = neg(row[ncols])
+                    t = neg(entry(row, ncols))
             if L + 1 == n:  # the children are leaves
                 leaves = q if branch else 1
                 count += leaves
@@ -128,9 +129,8 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
                     store[key] = t
                 else:
                     # the target t enters the pivot row's augmented entry
-                    row = row[:]
-                    row[ncols] = add(row[ncols], mul(iv, t))
-                    store[key] = row
+                    store[key] = system.put(
+                        row, ncols, add(entry(row, ncols), mul(iv, t)))
                 vals[L] = t
                 L += 1
                 nodes += 1
@@ -140,6 +140,25 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
         if nodes > budget:
             break
     return count, nodes
+
+
+def _counting_bound(q: int, k: int, m: int) -> int:
+    """q^((k+1)^m + m).  The bound is printed, so a bound whose decimal
+    form passes the interpreter's int-to-str limit is refused from its
+    exponent before it is built; an exponent past 64 bits, which already
+    means more than 10^18 digits, is refused before it is built too."""
+    bits = m * math.log2(k + 1)
+    if bits > 64:
+        raise GuardExceeded("count bound exponent bits", math.ceil(bits), 64)
+    exponent = (k + 1) ** m + m
+    digits = math.floor(exponent * math.log10(q)) + 1
+    # Python before 3.10.7 has no limit, and 0 turns it off; either way
+    # the default applies, so no k or m builds a bound of any size
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = get_limit() or getattr(sys.int_info, "default_max_str_digits", 4300)
+    if digits > limit:
+        raise GuardExceeded("count bound digits", digits, limit)
+    return q ** exponent
 
 
 def exhaustive_count(q: int, k: int, n: int, m: int, *,
@@ -155,7 +174,8 @@ def exhaustive_count(q: int, k: int, n: int, m: int, *,
     sharded over those roots.  max_sequences bounds the nodes it visits.
     The walk visits at least q^m + n - m of them, the roots and the
     all-zero path, and that is checked before any work, with m >= n - 1
-    counted as n - 1 since every sequence has complexity <= n - 1.
+    counted as n - 1 since every sequence has complexity <= n - 1.  So is
+    the printed length of the bound (_counting_bound).
     """
     field = field_of_order(q)  # validates q
     if n < 1:
@@ -164,11 +184,11 @@ def exhaustive_count(q: int, k: int, n: int, m: int, *,
         raise ValueError("k must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
+    bound = _counting_bound(q, k, m)
     low = min(m, n - 1)
     least = q ** low + n - low
     if least > max_sequences:
         raise GuardExceeded("count walk nodes", least, max_sequences)
-    bound = q ** ((k + 1) ** m + m)
     if m == 0:
         count = 1  # only the zero sequence
     elif m >= n - 1:

@@ -196,6 +196,44 @@ def test_count_guard_exit_2(capsys):
         assert "guard exceeded: count walk nodes" in err
 
 
+def test_count_bound_guard_before_the_walk(capsys, monkeypatch):
+    # a bound too long to print is refused from its exponent, before the
+    # walk runs and before the bound itself is built
+    import nlcx.stats as stats
+
+    def no_walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(stats, "_sharded", no_walk)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    for k, n, m, what in (("1", "16", "14", "count bound digits: size 4937"),
+                          ("1000", "5", "4", "count bound digits"),
+                          ("1", "5", "1000000000", "count bound exponent bits")):
+        code, out, err = run(capsys, "count", "--q", "2", "--k", k, "--n", n,
+                             "--m", m)
+        assert code == 2
+        assert out == ""
+        assert f"guard exceeded: {what}" in err
+
+
+def test_verify_allow_large(capsys):
+    # Hermitian ell = 7 lies past the default range until --allow-large
+    argv = ("verify", "--construction", "hermitian", "--ell", "7",
+            "--n-max", "12", "--kmax", "1")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "allow_large" in err
+    code, out, _ = run(capsys, *argv, "--allow-large")
+    assert code == 0
+    rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert len(rows) == 1 + 2 * 12  # header, then nk and lk at n = 1..12
+    assert all(r.endswith(",true") for r in rows[1:])
+    # without the flag the params stanza is unchanged
+    code, out, _ = run(capsys, "verify", "--construction", "hermitian", "--ell", "2")
+    assert code == 0
+    assert "allow_large" not in out
+
+
 def test_profile_csv_and_grid(capsys):
     code, out, _ = run(capsys, "profile", "--q", "2", "--k", "1",
                        "--nmax", "16", "--samples", "25", "--seed", "4")

@@ -1,0 +1,215 @@
+"""Differential suite for the packed monomial system (_PackedSystem).
+
+The oracle is ListSystem below: Gaussian elimination on rows that hold one
+field element per column, updated with one Field add and mul at a time.
+Both systems are fed the same rows at every feedback length m, and they
+must agree on every row they build, on the rows they accept, on every
+pivot row and on the solution, and so on the canonical witness.  The slot
+arithmetic of the packed rows is checked on its own against element-wise
+Field arithmetic, at every field shape the workbench supports.
+"""
+
+import itertools
+import random
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nlcx.complexity as cx
+from nlcx.finite_field import field_of_order
+
+MODES = ("each", "total")
+
+
+class ListSystem:
+    """Reference monomial system: a row is a list of field elements, the
+    augmented entry last.  Each row is eliminated against the pivot rows
+    in column order up to its first nonzero column without one, which
+    becomes its pivot, and is stored scaled to 1 there."""
+
+    def __init__(self, field, m, k, mode):
+        self.f = field
+        self.m, self.k, self.mode = m, k, mode
+        self.kcap = min(k, field.q - 1)
+        self.exps = cx.monomial_exponents(m, k, mode, per_var=self.kcap)
+        self.ncols = len(self.exps)
+        self.basis = {}
+
+    def build_row(self, window, target):
+        f = self.f
+        row = []
+        for exps in self.exps:
+            term = 1
+            for v, e in zip(window, exps):
+                term = f.mul(term, f.pow(v, e))
+            row.append(term)
+        return row + [target]
+
+    def reduce(self, row):
+        f = self.f
+        for c in range(self.ncols):
+            v = row[c]
+            if v == 0:
+                continue
+            b = self.basis.get(c)
+            if b is None:
+                return c
+            nv = f.neg(v)
+            for j in range(c, self.ncols + 1):
+                row[j] = f.add(row[j], f.mul(nv, b[j]))
+        return self.ncols
+
+    def add(self, window, target):
+        row = self.build_row(window, target)
+        c = self.reduce(row)
+        if c == self.ncols:
+            return row[c] == 0
+        iv = self.f.inv(row[c])
+        self.basis[c] = [self.f.mul(iv, x) for x in row]
+        return True
+
+    def solution(self):
+        f = self.f
+        sol = [0] * self.ncols
+        for c in sorted(self.basis, reverse=True):
+            row = self.basis[c]
+            acc = row[self.ncols]
+            for j in range(c + 1, self.ncols):
+                acc = f.sub(acc, f.mul(row[j], sol[j]))
+            sol[c] = acc
+        return sol
+
+
+def pack(system, elems):
+    """Packed planes of a list of field elements, one per slot."""
+    p, e, w = system.f.p, system.f.e, system.w
+    planes = [0] * e
+    for c, v in enumerate(elems):
+        for i in range(e):
+            v, d = divmod(v, p)
+            planes[i] |= d << c * w
+    return planes
+
+
+def unpack(system, planes, slots):
+    return [system.entry(planes, c) for c in range(slots)]
+
+
+def packed_vs_oracle(field, vals, k, mode, max_columns=None):
+    """Feed both systems the rows of vals at every m; return the rows
+    accepted at each m after checking that the systems agree throughout."""
+    n = len(vals)
+    accepted = {}
+    for m in range(1, n):
+        if max_columns and cx.monomial_count(m, k, mode, field.q - 1) > max_columns:
+            break
+        packed = cx._PackedSystem(field, m, k, mode)
+        oracle = ListSystem(field, m, k, mode)
+        assert packed.ncols == oracle.ncols
+        slots = packed.ncols + 1
+        rows = 0
+        for i in range(n - m):
+            window, target = vals[i:i + m], vals[i + m]
+            assert unpack(packed, packed.build_row(window, target), slots) == \
+                oracle.build_row(window, target), (field.q, vals, k, mode, m, i)
+            ok = packed.add(window, target)
+            assert ok == oracle.add(window, target), (field.q, vals, k, mode, m, i)
+            if not ok:
+                break
+            rows += 1
+        assert sorted(packed.basis) == sorted(oracle.basis)
+        for c, row in packed.basis.items():
+            assert unpack(packed, row, slots) == oracle.basis[c]
+        assert packed.solution() == oracle.solution()
+        assert cx._witness_from(packed, m, k, mode) == \
+            cx._witness_from(oracle, m, k, mode)
+        accepted[m] = rows
+    return accepted
+
+
+def test_packed_matches_oracle_exhaustively_f2():
+    F2 = field_of_order(2)
+    for vals in itertools.product(range(2), repeat=7):
+        for k, mode in ((1, "each"), (1, "total"), (2, "total")):
+            packed_vs_oracle(F2, list(vals), k, mode)
+
+
+def test_packed_matches_oracle_exhaustively_f3():
+    F3 = field_of_order(3)
+    for vals in itertools.product(range(3), repeat=5):
+        for k in (1, 2):
+            for mode in MODES:
+                packed_vs_oracle(F3, list(vals), k, mode)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 4, 5, 7, 8, 9, 25]), st.data())
+def test_packed_matches_oracle_hypothesis(q, data):
+    field = field_of_order(q)
+    vals = data.draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=12))
+    k = data.draw(st.integers(1, 3))
+    mode = data.draw(st.sampled_from(MODES))
+    packed_vs_oracle(field, vals, k, mode, max_columns=256)
+
+
+# p in {2, 3, 5, 7, 251, 65521}, then F_4, F_8, F_9, F_25, F_3^10, F_2^16
+SLOT_FIELDS = (2, 3, 5, 7, 251, 65521, 4, 8, 9, 25, 3 ** 10, 2 ** 16)
+
+
+def test_slot_arithmetic_matches_field():
+    rng = random.Random(7)
+    for q in SLOT_FIELDS:
+        f = field_of_order(q)
+        system = cx._PackedSystem(f, 3, 2, "each")  # 27 columns
+        slots = system.ncols + 1
+        top = q - 1
+        for trial in range(30):
+            if trial == 0:  # every slot at its largest value before reduction
+                a, r, b = f.neg(1), [top] * slots, [top] * slots
+            else:
+                a = rng.randrange(q)
+                r = [rng.randrange(q) for _ in range(slots)]
+                b = [rng.randrange(q) for _ in range(slots)]
+            row = pack(system, r)
+            system.axpy(row, a, pack(system, b))
+            assert unpack(system, row, slots) == \
+                [f.add(x, f.mul(a, y)) for x, y in zip(r, b)], (q, trial)
+            # the pivot is the lowest nonzero column; normalising scales it to 1
+            lead = rng.randrange(slots - 1)
+            r = [0] * lead + [rng.randrange(1, q)] + \
+                [rng.randrange(q) for _ in range(slots - lead - 1)]
+            row = pack(system, r)
+            assert system.reduce(row) == lead
+            v = system.entry(row, lead)
+            assert v == r[lead]
+            iv = f.inv(v)
+            assert unpack(system, system.scaled(row, iv), slots) == \
+                [f.mul(iv, x) for x in r]
+        # the multiply-shift reduction is exact up to the largest slot value
+        if f.p > 2:
+            biggest = (f.p - 1) * (1 + f.e * (f.p - 1))
+            values = [biggest - d for d in range(min(10, biggest + 1))] + \
+                [0, 1, f.p - 1, f.p, f.p + 1, 2 * f.p - 1]
+            values += [rng.randrange(biggest + 1) for _ in range(slots - len(values))]
+            x = sum(v << c * system.w for c, v in enumerate(values))
+            got = system._mod(x)
+            assert [got >> c * system.w & system._slot for c in range(len(values))] \
+                == [v % f.p for v in values], q
+
+
+def test_large_fields_build_rows_and_allocate_no_field_sized_table():
+    rng = random.Random(11)
+    for q in (65521, 2 ** 16, 3 ** 10):
+        f = field_of_order(q)  # the field's own tables are built here
+        vals = [rng.randrange(q) for _ in range(6)]
+        tracemalloc.start()
+        try:
+            for k, mode in ((2, "each"), (3, "total")):
+                packed_vs_oracle(f, vals, k, mode, max_columns=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one entry per field element would take 8 bytes * q alone
+        assert peak < q, (q, peak)
+

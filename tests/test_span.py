@@ -1,9 +1,10 @@
 """Differential suite for the column-space solver (_SpanSystem).
 
 The span system is driven directly at every feedback length m and checked
-against the monomial systems (_GenericSystem, _Gf2System), or the window
-scan where every map is a polynomial, against brute_force_complexity, and
-by replaying every witness it returns.
+against the packed monomial system and the list-based oracle of
+test_packed (which must agree with each other), or the window scan where
+every map is a polynomial, against brute_force_complexity, and by
+replaying every witness it returns.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import nlcx.complexity as cx
 from nlcx.bounds import all_passed, verify
 from nlcx.finite_field import field_of_order
 from nlcx.generators import Sequence
+from test_packed import ListSystem
 
 F3 = field_of_order(3)
 MODES = ("each", "total")
@@ -38,8 +40,9 @@ def reference_rows(field, vals, m, k, mode, window_scan):
             if seen.setdefault(tuple(vals[i:i + m]), vals[i + m]) != vals[i + m]:
                 return i
         return len(vals) - m
-    cls = cx._Gf2System if field.q == 2 else cx._GenericSystem
-    return rows_accepted(cls(field, m, k, mode), vals, m)
+    rows = rows_accepted(cx._PackedSystem(field, m, k, mode), vals, m)
+    assert rows == rows_accepted(ListSystem(field, m, k, mode), vals, m)
+    return rows
 
 
 def check_witness(field, vals, m, k, mode, system):
@@ -136,9 +139,9 @@ def test_new_system_selection_and_guard():
     F29 = field_of_order(29)
     # inversive-sized: (k+1)**m columns against m * (k+1) * rows candidates
     assert isinstance(cx._new_system(F29, 14, 2, "each", 1 << 20, 15), cx._SpanSystem)
-    assert isinstance(cx._new_system(F29, 3, 2, "each", 1 << 20, 15), cx._GenericSystem)
+    assert isinstance(cx._new_system(F29, 3, 2, "each", 1 << 20, 15), cx._PackedSystem)
     assert isinstance(cx._new_system(field_of_order(2), 14, 1, "each", 1 << 20, 15),
-                      cx._Gf2System)
+                      cx._PackedSystem)
     with pytest.raises(cx.GuardExceeded) as err:
         cx._new_system(F29, 14, 2, "each", 100, 15)
     assert (err.value.what, err.value.size, err.value.limit) == \

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -38,6 +39,19 @@ def test_count_against_direct_scan():
     res = stats.exhaustive_count(q, k, n, m)
     assert res.count == direct
     assert res.count <= res.bound
+
+
+def test_counting_bound_digits_guard(monkeypatch):
+    # 2^(2^13 + 13) has 2,470 digits and prints; 2^(2^14 + 14) has 4,937,
+    # past the interpreter's default int-to-str limit of 4,300
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    assert stats._counting_bound(2, 1, 13) == 2 ** 8205
+    with pytest.raises(cx.GuardExceeded) as err:
+        stats._counting_bound(2, 1, 14)
+    assert (err.value.what, err.value.size) == ("count bound digits", 4937)
+    with pytest.raises(cx.GuardExceeded) as err:
+        stats.exhaustive_count(2, 1000, 5, 4)
+    assert err.value.what == "count bound digits"
 
 
 def test_count_edge_cases():
