@@ -173,6 +173,8 @@ def verify(construction: str, *, q: Optional[int] = None,
     for kind in kinds:
         if kind not in entry.bounds:
             raise ValueError(f"no {entry.label} bound covers kind {kind!r}")
+        if kind != "lin" and not k_values:
+            raise ValueError(f"no degree cap for kind {kind!r}: give at least one k >= 1")
     checks: list[BoundCheck] = []
     for seq, ids in entry.sequences(**params):
         for kind in kinds:

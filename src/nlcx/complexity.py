@@ -44,6 +44,9 @@ class GuardExceeded(ValueError):
         self.what, self.size, self.limit = what, size, limit
         super().__init__(f"{what}: size {size} exceeds guard {limit}")
 
+    def __reduce__(self):  # so a trip in a worker process reaches the caller
+        return type(self), (self.what, self.size, self.limit)
+
 
 def monomial_count(m: int, k: int, mode: str, per_var: Optional[int] = None) -> int:
     """Number of exponent vectors; per_var additionally caps each exponent.
@@ -560,26 +563,41 @@ def _windows_consistent(vals, n: int, m: int, seen: dict) -> bool:
     return True
 
 
-def _least_fit(field: Field, vals, n: int, k: int, mode: str,
-               max_monomials: int, m_min: int, m_max: int,
-               seen: Optional[dict] = None):
-    """The least m in m_min..m_max for which a length-m feedback map of the
-    class fits the first n terms, with the solver system fed to decide it;
-    (None, None) when there is none.  When _full_function_space holds, a
-    window scan decides instead: no system is built (None), and seen, the
-    caller's dict when given, is left holding the windows of the fit."""
-    if seen is None and _full_function_space(field, k, mode):
-        seen = {}
-    for m in range(m_min, m_max + 1):
-        if seen is not None:
-            seen.clear()
-            if _windows_consistent(vals, n, m, seen):
-                return m, None
+def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
+            cap: int):
+    """(profile, system): the complexity of every prefix of vals, and the
+    system of the last length fed every row, or None where a window scan
+    decided (_full_function_space), vals is all zero or the search stopped.
+
+    Profiles are nondecreasing, so each length m is tried once, at the
+    prefix where m - 1 failed: its system is fed that prefix and then
+    grows one row at a time.  The search stops before the first prefix
+    whose complexity would exceed cap.
+    """
+    seen = {} if _full_function_space(field, k, mode) else None
+    out: list[int] = []
+    m, system = 0, None
+    for idx, v in enumerate(vals):
+        if m == 0:
+            ok = not v  # the first nonzero term: search from m = 1
+        elif seen is not None:
+            ok = seen.setdefault(tuple(vals[idx - m:idx]), v) == v
         else:
-            system = _new_system(field, m, k, mode, max_monomials, len(vals) - m)
-            if _feed(system, vals, n, m):
-                return m, system
-    return None, None
+            ok = system.add(vals[idx - m:idx], v)
+        # a length-max(idx, 1) map always fits the first idx + 1 terms
+        while not ok:
+            if m == cap:
+                return out, None
+            m += 1
+            system = None  # free the outgrown system before the next is fed
+            if seen is not None:
+                seen.clear()
+                ok = _windows_consistent(vals, idx + 1, m, seen)
+            else:
+                system = _new_system(field, m, k, mode, max_monomials, len(vals) - m)
+                ok = _feed(system, vals, idx + 1, m)
+        out.append(m)
+    return out, system
 
 
 def _check_seq(s: Sequence):
@@ -595,14 +613,11 @@ def _complexity(s: Sequence, k: int, kind: str, max_monomials: int,
     mode = _MODES[kind]
     vals = s.values
     n = len(vals)
-    if not any(vals):
-        return ComplexityReport(kind, k, n, 0)
-    m, system = _least_fit(s.field, vals, n, k, mode, max_monomials, 1, n - 1)
-    if m is None:
-        # n == 1 and s nonzero: a length-1 map is vacuously valid (no equations)
-        return ComplexityReport(kind, k, n, 1)
+    prof, system = _search(s.field, vals, k, mode, max_monomials, n)
+    m = prof[-1]
     wit = None
-    if want_witness:
+    # no witness for the zero sequence, nor for one term (no equations)
+    if want_witness and 0 < m < n:
         if system is None:  # decided by the window scan
             system = _new_system(s.field, m, k, mode, max_monomials, n - m)
             _feed(system, vals, n, m)
@@ -700,10 +715,9 @@ def profile(s: Sequence, k: Optional[int], kind: str = "nk", *,
             max_monomials: int = DEFAULT_MAX_MONOMIALS) -> list[int]:
     """Complexity of every prefix s_1..s_n for n = 1..len(s).
 
-    Profiles are nondecreasing in n (a feedback map for a sequence also
-    works for every prefix), so the search warm-starts at the previous
-    prefix's value and systems grow one equation at a time; the feedback
-    length is re-searched from scratch only when it must increase.
+    Profiles are nondecreasing in n, so one warm-started search serves
+    every prefix: each feedback length is tried once and its system grows
+    one equation at a time (see _search).
     """
     if kind == "lin":
         return linear_profile(s)
@@ -714,47 +728,19 @@ def profile(s: Sequence, k: Optional[int], kind: str = "nk", *,
     if k is None or k < 1:
         raise ValueError("degree cap k must be >= 1")
     _check_seq(s)
-    mode = _MODES[kind]
-    field = s.field
-    vals = s.values
-    seen = {} if _full_function_space(field, k, mode) else None
-    out: list[int] = []
-    m = 0
-    system = None
-    for idx, v in enumerate(vals):
-        if m == 0:
-            if v == 0:
-                out.append(0)
-                continue
-            ok = False  # the first nonzero term: search from m = 1
-        elif seen is not None:
-            ok = seen.setdefault(tuple(vals[idx - m:idx]), v) == v
-        else:
-            ok = system.add(vals[idx - m:idx], v)
-        if not ok:
-            system = None  # free the outgrown system before the next is fed
-            # a length-max(idx, 1) map always fits the first idx + 1 terms
-            m, system = _least_fit(field, vals, idx + 1, k, mode, max_monomials,
-                                   m + 1, max(idx, 1), seen)
-            if m is None:  # never reached
-                raise AssertionError("profile search overran the prefix")
-        out.append(m)
-    return out
+    return _search(s.field, s.values, k, _MODES[kind], max_monomials, len(s))[0]
 
 
 def complexity_at_most(field: Field, vals, k: int, cap: int, mode: str = "each",
                        max_monomials: int = DEFAULT_MAX_MONOMIALS) -> bool:
     """Whether the complexity of vals is <= cap, searching no further."""
-    n = len(vals)
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    if not any(vals):
+    if cap >= max(len(vals) - 1, 1):
+        # a length-(n-1) constant map always reproduces the final term, and
+        # a single term sits at 1
         return True
-    if n == 1 or cap >= n - 1:
-        # single-term sequences sit at 1; a length-(n-1) constant map
-        # always reproduces the final term
-        return cap >= 1
-    return _least_fit(field, vals, n, k, mode, max_monomials, 1, cap)[0] is not None
+    return len(_search(field, vals, k, mode, max_monomials, cap)[0]) == len(vals)
 
 
 def brute_force_complexity(s: Sequence, k: int, kind: str = "nk", *,

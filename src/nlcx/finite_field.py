@@ -26,50 +26,33 @@ MAX_FIELD_ORDER = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and next(_prime_factors(n)) == n
 
 
 def prime_power(n: int):
     """Return (p, e) with n == p**e, or None if n is not a prime power."""
     if n < 2:
         return None
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1)
-        if n % p:
-            continue
-        e = 0
-        m = n
-        while m % p == 0:
-            m //= p
-            e += 1
-        return (p, e) if m == 1 else None
-    return None
+    p = next(_prime_factors(n))
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return (p, e) if n == 1 else None
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
+def _prime_factors(n: int):
+    """The distinct prime factors of n >= 1 in increasing order, by trial
+    division that goes no further than the caller reads."""
     f = 2
     while f * f <= n:
         if n % f == 0:
-            out.append(f)
+            yield f
             while n % f == 0:
                 n //= f
         f += 1 if f == 2 else 2
     if n > 1:
-        out.append(n)
-    return out
+        yield n
 
 
 # ---------------------------------------------------------------------------
@@ -180,29 +163,24 @@ class Field:
             yield self.encode(tup)
 
     def _find_primitive(self) -> int:
-        factors = _prime_factors(self.q - 1) if self.q > 2 else []
         for v in self.lex_elements():
-            if v == 0:
-                continue
-            cand = self.coeffs_of(v)
-            ok = True
-            for r in factors:
-                t = _poly_powmod(cand, (self.q - 1) // r, self.modulus, self.p)
-                if self.encode(t) == 1:
-                    ok = False
-                    break
-            if ok:
+            if v and self._has_full_order(v):
                 return v
         raise AssertionError("no primitive element found")  # unreachable
 
     def _check_order_full(self, v: int):
         if not 0 < v < self.q:
             raise ValueError(f"primitive element {v} out of range for q={self.q}")
+        if not self._has_full_order(v):
+            raise ValueError(f"element {v} does not have order {self.q - 1}")
+
+    def _has_full_order(self, v: int) -> bool:
+        """Whether the nonzero v has order q - 1: no v**((q - 1) / r) is 1
+        for a prime r dividing q - 1."""
         cand = self.coeffs_of(v)
-        for r in _prime_factors(self.q - 1):
-            t = _poly_powmod(cand, (self.q - 1) // r, self.modulus, self.p)
-            if self.encode(t) == 1:
-                raise ValueError(f"element {v} does not have order {self.q - 1}")
+        return all(self.encode(_poly_powmod(cand, (self.q - 1) // r,
+                                            self.modulus, self.p)) != 1
+                   for r in _prime_factors(self.q - 1))
 
     def _build_tables(self):
         """exp[i] = g**i, stored twice over so that a sum of two logs needs

@@ -111,6 +111,12 @@ def test_verify_rejects_bad_input():
         B.verify("hermitian", q=9)  # ell is required
     with pytest.raises(ValueError):
         B.verify("inversive", q=7, kinds=("bogus",))
+    # a kind other than lin with no degree cap would check nothing
+    with pytest.raises(ValueError, match="no degree cap"):
+        B.verify("hermitian", ell=2, k_values=())
+    with pytest.raises(ValueError, match="no degree cap for kind 'nk'"):
+        B.verify("inversive", q=7, k_values=(), kinds=("lin", "nk"))
+    assert B.verify("inversive", q=7, k_values=(), kinds=("lin",))
 
 
 def test_summarize():

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -33,10 +34,12 @@ def test_console_script_entry_point_contract():
         project = tomllib.load(fh)["project"]
     assert project["scripts"]["nlcx"] == "nlcx.cli:main"
     assert project["version"] == nlcx.__version__
-    # what the wrapper generated for that entry point runs
+    # what the wrapper generated for that entry point runs, on the nlcx
+    # this test imported (pytest's pythonpath setting reaches no subprocess)
     wrapper = "import sys; from nlcx.cli import main; sys.exit(main())"
+    env = {**os.environ, "PYTHONPATH": str(Path(nlcx.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", wrapper, "--version"],
-                         capture_output=True, text=True, cwd=root)
+                         capture_output=True, text=True, cwd=root, env=env)
     assert out.returncode == 0
     assert out.stdout == "nlcx 0.1.0\n"
 
@@ -173,6 +176,14 @@ def test_verify_kinds_filter(capsys):
 
 def test_verify_bad_construction_exit_2(capsys):
     assert run(capsys, "verify", "--construction", "inversive")[0] == 2
+
+
+@pytest.mark.parametrize("kmax", ["0", "-1"])
+def test_verify_without_degree_caps_exit_2(capsys, kmax):
+    code, out, err = run(capsys, "verify", "--construction", "hermitian",
+                         "--ell", "2", "--kmax", kmax, "--format", "json")
+    assert code == 2 and out == ""
+    assert "no degree cap" in err
 
 
 def test_count_csv(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import pytest
@@ -6,16 +8,32 @@ from hypothesis import strategies as st
 
 import nlcx.complexity as cx
 from nlcx.finite_field import field_of_order
-from nlcx.generators import Sequence, random_sequence
+from nlcx.generators import Sequence, inversive_finite, random_sequence
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
 F4 = field_of_order(4)
 F5 = field_of_order(5)
+ANALYZERS = {"nk": cx.nonlinear_complexity, "lk": cx.total_degree_complexity}
 
 
 def seq(q, vals):
     return Sequence(field_of_order(q), list(vals))
+
+
+def cold_search(field, vals, k, mode):
+    """The oracle for the warm-started search: (complexity, system) with,
+    for each m from 1, a fresh solver system fed every row of vals; the
+    system is the first that accepts them all (None for the zero sequence
+    and for one term, which fit with no equation)."""
+    n = len(vals)
+    if not any(vals):
+        return 0, None
+    for m in range(1, n):
+        system = cx._new_system(field, m, k, mode, cx.DEFAULT_MAX_MONOMIALS, n - m)
+        if all(system.add(vals[i:i + m], vals[i + m]) for i in range(n - m)):
+            return m, system
+    return 1, None
 
 
 def test_monomial_count():
@@ -123,10 +141,74 @@ def test_profile_matches_direct_computation():
         f = field_of_order(q)
         s = random_sequence(f, 18, 99 + q)
         prof = cx.profile(s, k, kind)
-        fn = cx.nonlinear_complexity if kind == "nk" else cx.total_degree_complexity
-        direct = [fn(s.prefix(n), k, witness=False).value
+        direct = [cold_search(f, s.values[:n], k, cx._MODES[kind])[0]
                   for n in range(1, len(s) + 1)]
         assert prof == direct
+
+
+def test_search_matches_cold_search():
+    # window scan (F_2 and F_3 at k = q - 1 "each"), packed systems, and
+    # span systems (the inversive sequences, whose m is near n / (k + 1))
+    cases = [(random_sequence(F2, 20, 1), 1, "nk"),
+             (random_sequence(F3, 16, 2), 2, "nk"),
+             (seq(3, [0, 0, 0, 2, 0, 0, 0, 1, 1]), 1, "nk"),
+             (random_sequence(F3, 16, 3), 1, "lk"),
+             (random_sequence(F5, 14, 4), 2, "nk"),
+             (random_sequence(field_of_order(25), 12, 5), 1, "nk"),
+             (random_sequence(field_of_order(25), 12, 6), 2, "lk"),
+             (inversive_finite(field_of_order(25)), 1, "nk")]
+    F29 = field_of_order(29)
+    cases += [(inversive_finite(F29, a=a), k, kind)
+              for a, k, kind in ((1, 1, "nk"), (2, 2, "nk"), (3, 1, "lk"))]
+    spans = 0
+    for s, k, kind in cases:
+        f, vals, mode = s.field, s.values, cx._MODES[kind]
+        prof = cx.profile(s, k, kind)
+        for n in range(1, len(s) + 1):
+            m, system = cold_search(f, vals[:n], k, mode)
+            assert prof[n - 1] == m, (s.field.q, k, kind, n)
+        rep = ANALYZERS[kind](s, k)
+        assert rep.value == m
+        want = None if system is None else cx._witness_from(system, m, k, mode)
+        assert rep.witness == want
+        spans += isinstance(system, cx._SpanSystem)
+        for cap in range(len(s) + 1):
+            assert cx.complexity_at_most(f, vals, k, cap, mode) == (m <= cap)
+    assert spans >= 3
+
+
+def test_one_system_per_length_tried(monkeypatch):
+    made = []
+    new_system = cx._new_system
+
+    def counted(field, m, *args):
+        made.append(m)
+        return new_system(field, m, *args)
+
+    monkeypatch.setattr(cx, "_new_system", counted)
+    s = random_sequence(F3, 20, 7)
+    rep = cx.nonlinear_complexity(s, 1, witness=False)
+    assert made == list(range(1, rep.value + 1))
+    made.clear()
+    rep = cx.nonlinear_complexity(inversive_finite(field_of_order(29)), 1)
+    assert made == list(range(1, rep.value + 1))
+    made.clear()
+    # a window scan decides; only the witness builds a system
+    s = random_sequence(F2, 20, 7)
+    assert cx.nonlinear_complexity(s, 1, witness=False).value > 1
+    assert made == []
+    rep = cx.nonlinear_complexity(s, 1)
+    assert made == [rep.value]
+
+
+def test_span_witness_pinned():
+    # a basic solution of the column-space system at m = 13; pinned so that
+    # the order in which its rows are fed cannot change unnoticed
+    rep = cx.nonlinear_complexity(inversive_finite(field_of_order(29)), 1)
+    assert rep.value == 13 and len(rep.witness.coeffs) == 14
+    doc = json.dumps(rep.witness.to_json(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == \
+        "facefdbf558d7ad3cd69ffcdebb70e00d6c02745510a876e78dea0a5ea833417"
 
 
 def test_profile_lin_and_moc_dispatch():
@@ -232,12 +314,11 @@ def test_brute_force_equivalence_spot():
 
 def test_complexity_at_most_consistency():
     # F_2 at k = 1 takes the window-scan path; the other inputs build systems
-    analyzers = {"each": cx.nonlinear_complexity, "total": cx.total_degree_complexity}
     for field, k, mode in ((F3, 1, "each"), (F2, 1, "each"), (F2, 1, "total"),
                            (F3, 2, "total"), (F4, 1, "total")):
         for seed in range(20):
             s = random_sequence(field, 8, seed)
-            v = analyzers[mode](s, k, witness=False).value
+            v = cold_search(field, s.values, k, mode)[0]
             for cap in range(8):
                 assert cx.complexity_at_most(field, s.values, k, cap, mode) == (v <= cap)
 

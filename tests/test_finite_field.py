@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,24 @@ def test_prime_power_decomposition():
     assert prime_power(1) is None
     assert prime_power(6) is None
     assert prime_power(12) is None
+
+
+def test_primality_against_naive_oracle():
+    primes = {n for n in range(2, 5000) if all(n % d for d in range(2, n))}
+    powers = {p ** e: (p, e) for p in primes for e in range(1, 13) if p ** e < 5000}
+    for n in range(-2, 5000):
+        assert is_prime(n) == (n in primes), n
+        assert prime_power(n) == powers.get(n), n
+
+
+def test_canon_digest_up_to_1024():
+    # every canonical (q, modulus, primitive) with q <= 1024, digested when
+    # the order test and the trial division each had two copies
+    canon = [(q, field_of_order(q).modulus, field_of_order(q).primitive)
+             for q in range(2, 1025) if prime_power(q)]
+    assert len(canon) == 198
+    assert hashlib.sha256(repr(canon).encode()).hexdigest() == \
+        "6dc570505c6eb39fb4917a67d6237633510bfbb8989b126d55e3cd869e37afb7"
 
 
 def test_canonical_moduli_and_primitives():

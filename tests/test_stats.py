@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 
 import pytest
@@ -155,6 +156,19 @@ def test_worker_count_is_clamped(monkeypatch):
     assert stats._worker_count(0, 16) == 1
     monkeypatch.setattr(stats.os, "cpu_count", lambda: None)
     assert stats._worker_count(8, 16) == 1
+
+
+def test_guard_trip_in_a_worker_keeps_its_type(monkeypatch):
+    err = pickle.loads(pickle.dumps(cx.GuardExceeded("x", 5, 4)))
+    assert type(err) is cx.GuardExceeded
+    assert (err.what, err.size, err.limit, str(err)) == \
+        ("x", 5, 4, "x: size 5 exceeds guard 4")
+    # two workers however many CPUs the host has
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: 2)
+    for threads in (1, 2):
+        with pytest.raises(cx.GuardExceeded, match="monomial set"):
+            stats.monte_carlo_profile(5, 1, [30], 4, 1, threads=threads,
+                                      max_monomials=10)
 
 
 def test_monte_carlo_profile_deterministic():
