@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import __version__, bounds, stats
 from . import complexity as cx
-from .finite_field import field_of_order, make_field, prime_power
+from .finite_field import check_field_order, field_of_order, make_field, prime_power
 from .generators import (Sequence, inversive_finite, inversive_periodic,
                          random_sequence, read_sequence, sequence_to_text)
 from .hermitian import HermitianCurve, apply_automorphism_to_h
@@ -74,6 +74,7 @@ def _meta(args, field=None, **extra) -> dict:
 
 def _field_from_args(args):
     q = args.q
+    check_field_order(q)
     pp = prime_power(q)
     if pp is None:
         raise ValueError(f"q={q} is not a prime power")

@@ -12,6 +12,14 @@ F_2 a row is a bitmask.  Two degree regimes are supported:
 degree at most k in every variable separately ("each"), and total degree
 at most k ("total").  Linear complexity is computed by Berlekamp-Massey.
 
+Total degree 1 needs no system at all.  An affine map
+s_{i+m} = c + sum_j a_j s_{i+j} fits N terms exactly when the first
+differences d_i = s_{i+1} - s_i (N - 1 terms) satisfy a homogeneous
+recurrence of length m: subtracting consecutive equations cancels c, and
+conversely the first equation fixes c and each d-equation carries it to
+the next.  So that complexity is 0 while the prefix is zero and
+max(1, L(d_1..d_{N-1})) after, from one Berlekamp-Massey scan of d.
+
 Conventions: the all-zero sequence has complexity 0; a one-term nonzero
 sequence has complexity 1 (a length-1 feedback map is vacuously valid).
 Witness terms are listed with their monomials in lexicographic order, the
@@ -184,7 +192,6 @@ class _PackedSystem:
         # the low w - shift bits of every slot
         ones = ((1 << (self.ncols + 1) * w) - 1) // self._slot
         self._low = ones * ((1 << w - shift) - 1)
-        self._exps: Optional[list] = None
         # build_row's blocks per variable, from the last: (b, e, source
         # budget, bit offset) places x_j**e times the source at the offset
         # in budget b's row, for each e >= 1 (see build_row)
@@ -202,11 +209,16 @@ class _PackedSystem:
                 cols[b] = at
             self._plan.append(blocks)
 
-    @property
-    def exps(self) -> list[tuple[int, ...]]:
-        if self._exps is None:
-            self._exps = monomial_exponents(self.m, self.k, self.mode, per_var=self.kcap)
-        return self._exps
+    def exponents(self, cols) -> list[tuple[int, ...]]:
+        """The exponent vectors of the given columns.  In "each" mode
+        column c's are the base-(kcap + 1) digits of c, the last variable
+        fastest, so no other column is listed."""
+        if self.mode == "total":
+            exps = monomial_exponents(self.m, self.k, self.mode, per_var=self.kcap)
+            return [exps[c] for c in cols]
+        b = self.kcap + 1
+        place = [b ** j for j in range(self.m - 1, -1, -1)]
+        return [tuple(c // v % b for v in place) for c in cols]
 
     def _mod(self, x: int) -> int:
         return x - self.p * ((x * self._magic >> self._shift) & self._low)
@@ -506,10 +518,10 @@ class _SpanSystem:
             pvals = bvals
         return True
 
-    @property
-    def exps(self) -> list[tuple[int, ...]]:
+    def exponents(self, cols) -> list[tuple[int, ...]]:
+        """The monomials of the given positions of the last level's basis."""
         lv = self.levels[-1]
-        return [lv.mons[c] for c in lv.basis]
+        return [lv.mons[lv.basis[c]] for c in cols]
 
     def solution(self) -> list[int]:
         """The target's coefficients over the last level's basis."""
@@ -543,8 +555,8 @@ def _feed(system, vals, n: int, m: int) -> bool:
 
 def _witness_from(system, m: int, k: int, mode: str) -> FeedbackPolynomial:
     sol = system.solution()
-    exps = system.exps
-    coeffs = tuple(sorted((exps[i], c) for i, c in enumerate(sol) if c))
+    cols = [i for i, c in enumerate(sol) if c]
+    coeffs = tuple(sorted(zip(system.exponents(cols), (sol[i] for i in cols))))
     return FeedbackPolynomial(m=m, k=k, mode=mode, coeffs=coeffs)
 
 
@@ -563,17 +575,32 @@ def _windows_consistent(vals, n: int, m: int, seen: dict) -> bool:
     return True
 
 
+def _affine_profile(field: Field, vals, cap: int) -> list[int]:
+    """The total-degree-1 profile of vals, from one Berlekamp-Massey scan
+    of the first differences d_i = s_{i+1} - s_i, cut before the first
+    prefix whose value exceeds cap (see the module docstring)."""
+    sub = field.sub
+    diffs = [sub(b, a) for a, b in zip(vals, vals[1:])]
+    lin = [0] + _berlekamp_massey(field, diffs, cap)[0]
+    first = next((i for i, v in enumerate(vals) if v), len(vals))
+    return list(itertools.takewhile(lambda m: m <= cap, (
+        max(L, int(i >= first)) for i, L in enumerate(lin))))
+
+
 def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
             cap: int):
     """(profile, system): the complexity of every prefix of vals, and the
     system of the last length fed every row, or None where a window scan
-    decided (_full_function_space), vals is all zero or the search stopped.
+    or Berlekamp-Massey decided (_full_function_space, affine maps), vals
+    is all zero or the search stopped.
 
     Profiles are nondecreasing, so each length m is tried once, at the
     prefix where m - 1 failed: its system is fed that prefix and then
     grows one row at a time.  The search stops before the first prefix
     whose complexity would exceed cap.
     """
+    if mode == "total" and k == 1:
+        return _affine_profile(field, vals, cap), None
     seen = {} if _full_function_space(field, k, mode) else None
     out: list[int] = []
     m, system = 0, None
@@ -618,7 +645,7 @@ def _complexity(s: Sequence, k: int, kind: str, max_monomials: int,
     wit = None
     # no witness for the zero sequence, nor for one term (no equations)
     if want_witness and 0 < m < n:
-        if system is None:  # decided by the window scan
+        if system is None:  # decided by a window scan or Berlekamp-Massey
             system = _new_system(s.field, m, k, mode, max_monomials, n - m)
             _feed(system, vals, n, m)
         wit = _witness_from(system, m, k, mode)
@@ -652,15 +679,18 @@ def max_order_complexity(s: Sequence, *,
     return ComplexityReport("moc", rep.k, rep.n, rep.value, rep.witness)
 
 
-def _berlekamp_massey(field: Field, vals) -> tuple[list[int], list[int]]:
+def _berlekamp_massey(field: Field, vals,
+                      cap: Optional[int] = None) -> tuple[list[int], list[int]]:
     """Return (profile, C): the shortest LFSR length of every prefix, and
     the final connection polynomial C(x) = 1 + C[1] x + ... + C[L] x^L with
-    sum_j C[j] s_{i-j} == 0, where L = profile[-1]."""
+    sum_j C[j] s_{i-j} == 0, where L = profile[-1].  Given a cap, the scan
+    stops before the first prefix whose length exceeds it, and C is then
+    of no use."""
     n = len(vals)
     add, mul = field.add, field.mul
     C = [1] + [0] * n
     B = [1] + [0] * n
-    L, m, b = 0, 1, 1
+    L, m, b, lb = 0, 1, 1, 0  # deg C <= L and deg B <= lb
     out = []
     for i in range(n):
         d = vals[i]
@@ -671,12 +701,14 @@ def _berlekamp_massey(field: Field, vals) -> tuple[list[int], list[int]]:
         else:
             coef = field.neg(mul(d, field.inv(b)))
             T = C[:] if 2 * L <= i else None
-            for j in range(n - m + 1):
+            for j in range(min(lb, n - m) + 1):
                 C[j + m] = add(C[j + m], mul(coef, B[j]))
             if T is None:
                 m += 1
             else:
-                L, B, b, m = i + 1 - L, T, d, 1
+                L, B, b, m, lb = i + 1 - L, T, d, 1, L
+        if cap is not None and L > cap:
+            break
         out.append(L)
     return out, C[:L + 1]
 

@@ -25,6 +25,13 @@ from functools import lru_cache
 MAX_FIELD_ORDER = 1 << 16
 
 
+def check_field_order(q: int):
+    """Refuse a field order above MAX_FIELD_ORDER; callers run this before
+    prime_power, whose trial division takes time that grows as sqrt(q)."""
+    if q > MAX_FIELD_ORDER:
+        raise ValueError(f"field order {q} exceeds the supported maximum {MAX_FIELD_ORDER}")
+
+
 def is_prime(n: int) -> bool:
     return n >= 2 and next(_prime_factors(n)) == n
 
@@ -385,13 +392,11 @@ def make_field(p: int, e: int = 1, modulus=None, primitive=None) -> Field:
     element defaults to the canonical one; a supplied override is an
     integer encoding and must have order q - 1.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError("extension degree must be >= 1")
-    q = p ** e
-    if q > MAX_FIELD_ORDER:
-        raise ValueError(f"field order {q} exceeds the supported maximum {MAX_FIELD_ORDER}")
+    check_field_order(p ** e)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if modulus is None and primitive is None:
         return _canonical_field(p, e)
     if modulus is None:
@@ -409,6 +414,7 @@ def make_field(p: int, e: int = 1, modulus=None, primitive=None) -> Field:
 
 def field_of_order(q: int) -> Field:
     """Canonical field with exactly q elements; q must be a prime power."""
+    check_field_order(q)
     pp = prime_power(q)
     if pp is None:
         raise ValueError(f"{q} is not a prime power")

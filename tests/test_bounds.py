@@ -5,6 +5,10 @@ from pathlib import Path
 import pytest
 
 import nlcx.bounds as B
+from nlcx.complexity import linear_profile, profile
+from nlcx.finite_field import field_of_order
+from nlcx.generators import inversive_finite
+from nlcx.hermitian import hermitian_sequence
 
 
 def test_bound_inversive_values():
@@ -136,3 +140,27 @@ def test_readme_catalog_matches_verify_table():
              for kind in entry.bounds}
     assert documented == table
     assert len(table) == 7
+
+
+def test_inversive_bounds_attained():
+    # a measured fact, not a claim of the paper: at these q the inversive
+    # nk and lk profiles sit on ceil((n - 1) / (k + 1)) at every n >= 2, and
+    # the linear profile is the perfect ceil(n / 2)
+    for q in (29, 31):
+        s = inversive_finite(field_of_order(q))
+        for k in (1, 2, 3):
+            for kind in ("nk", "lk"):
+                prof = profile(s, k, kind)
+                assert all(prof[n - 1] == -(-(n - 1) // (k + 1))
+                           for n in range(2, len(s) + 1)), (q, k, kind)
+        assert linear_profile(s) == [-(-n // 2) for n in range(1, len(s) + 1)]
+
+
+def test_affine_between_lin_minus_one_and_lin():
+    # criterion 9's chain lin - 1 <= lk_1 <= lin, at every prefix of
+    # sequences longer than the random ones it covers
+    for s in (inversive_finite(field_of_order(29)), inversive_finite(field_of_order(49)),
+              hermitian_sequence(4), hermitian_sequence(5)):
+        pairs = list(zip(linear_profile(s), profile(s, 1, "lk")))
+        assert len(pairs) == len(s)
+        assert all(lin - 1 <= lk <= lin for lin, lk in pairs)

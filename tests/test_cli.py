@@ -186,6 +186,19 @@ def test_verify_without_degree_caps_exit_2(capsys, kmax):
     assert "no degree cap" in err
 
 
+def test_field_order_refused_before_factoring(capsys, monkeypatch):
+    from test_finite_field import forbid_factoring_above_max
+    forbid_factoring_above_max(monkeypatch)
+    q = str(10 ** 14 + 31)
+    for argv in (("gen", "--kind", "inversive", "--q", q),
+                 ("gen", "--kind", "inversive", "--q", q, "--primitive", "3"),
+                 ("verify", "--construction", "inversive", "--q", q),
+                 ("count", "--q", q, "--k", "1", "--n", "3", "--m", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "exceeds the supported maximum 65536" in err, argv
+
+
 def test_count_csv(capsys):
     code, out, _ = run(capsys, "count", "--q", "2", "--k", "1",
                        "--n", "3", "--m", "1")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import nlcx.complexity as cx
 from nlcx.finite_field import field_of_order
 from nlcx.generators import Sequence, inversive_finite, random_sequence
+from nlcx.hermitian import hermitian_sequence
 
 F2 = field_of_order(2)
 F3 = field_of_order(3)
@@ -95,6 +97,18 @@ def test_berlekamp_massey_examples():
     assert cx.linear_complexity(seq(3, [2, 2, 2, 2])).value == 1
     # alternating over F2: s_{j} = s_{j-2}
     assert cx.linear_complexity(seq(2, [1, 0, 1, 0, 1, 0])).value == 2
+
+
+def test_berlekamp_massey_cap_cuts_the_profile():
+    # with a cap the scan stops before the first prefix whose length exceeds it
+    for q in (2, 5, 9):
+        f = field_of_order(q)
+        for seed in range(10):
+            vals = random_sequence(f, 30, seed).values
+            prof = cx._berlekamp_massey(f, vals)[0]
+            for cap in range(17):
+                assert cx._berlekamp_massey(f, vals, cap)[0] == \
+                    list(itertools.takewhile(lambda L: L <= cap, prof))
 
 
 def test_linear_witness_replays():
@@ -199,6 +213,82 @@ def test_one_system_per_length_tried(monkeypatch):
     assert made == []
     rep = cx.nonlinear_complexity(s, 1)
     assert made == [rep.value]
+
+
+def check_affine(s, cold):
+    """lk at k = 1 (Berlekamp-Massey on the differences) against the cold
+    search: the profile at every prefix, the value with its witness, and
+    complexity_at_most at every cap.  cold(vals) gives the cold search's
+    (value, system) of a prefix."""
+    f, vals, n = s.field, s.values, len(s)
+    assert cx.profile(s, 1, "lk") == [cold(vals[:i])[0] for i in range(1, n + 1)]
+    m, system = cold(vals)
+    rep = cx.total_degree_complexity(s, 1)
+    assert rep.value == m
+    want = None if system is None else cx._witness_from(system, m, 1, "total")
+    assert rep.witness == want
+    for cap in range(n + 1):
+        assert cx.complexity_at_most(f, vals, 1, cap, "total") == (m <= cap)
+
+
+def test_affine_matches_cold_search_exhaustive():
+    # every F_2 sequence of length <= 8 and every F_3 sequence of length <= 6;
+    # shorter sequences come first, so every prefix is already in `cold`
+    for q, nmax in ((2, 8), (3, 6)):
+        f = field_of_order(q)
+        cold = {}
+        for n in range(1, nmax + 1):
+            for vals in itertools.product(range(q), repeat=n):
+                cold[vals] = cold_search(f, vals, 1, "total")
+                check_affine(Sequence(f, list(vals)), lambda v: cold[tuple(v)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([4, 5, 7, 8, 9, 25]), st.data())
+def test_affine_matches_cold_search_hypothesis(q, data):
+    f = field_of_order(q)
+    n = data.draw(st.integers(1, 14))
+    term = st.one_of(st.just(0), st.integers(0, q - 1))  # zeros are common
+    vals = data.draw(st.lists(term, min_size=n, max_size=n))
+    check_affine(Sequence(f, vals), lambda v: cold_search(f, v, 1, "total"))
+
+
+def test_affine_values_build_one_system(monkeypatch):
+    made = []
+    new_system = cx._new_system
+
+    def counted(field, m, *args):
+        made.append(m)
+        return new_system(field, m, *args)
+
+    monkeypatch.setattr(cx, "_new_system", counted)
+    for s in (random_sequence(F3, 20, 7), inversive_finite(field_of_order(29)),
+              hermitian_sequence(4)):
+        prof = cx.profile(s, 1, "lk")
+        assert cx.total_degree_complexity(s, 1, witness=False).value == prof[-1]
+        assert cx.complexity_at_most(s.field, s.values, 1, prof[-1] - 1, "total") is False
+        assert made == []
+        rep = cx.total_degree_complexity(s, 1)
+        assert made == [rep.value] and 1 < rep.value < len(s)
+        made.clear()
+    # the monomial guard only sees the witness's system of m + 1 columns
+    s = inversive_finite(field_of_order(29))
+    assert cx.profile(s, 1, "lk", max_monomials=1)[-1] == 13
+    assert cx.total_degree_complexity(s, 1, witness=False, max_monomials=1).value == 13
+    with pytest.raises(cx.GuardExceeded):
+        cx.total_degree_complexity(s, 1, max_monomials=13)
+    assert cx.total_degree_complexity(s, 1, max_monomials=14).witness is not None
+
+
+def test_each_mode_exponents_are_column_digits():
+    # a column's exponents are the base-(kcap + 1) digits of its index
+    for q, m, k in ((2, 1, 1), (2, 6, 1), (3, 3, 2), (3, 2, 5), (4, 3, 2),
+                    (5, 2, 4), (9, 2, 3), (25, 1, 7)):
+        system = cx._PackedSystem(field_of_order(q), m, k, "each")
+        exps = cx.monomial_exponents(m, k, "each", per_var=q - 1)
+        assert system.exponents(range(system.ncols)) == exps
+        picked = [system.ncols - 1, 0, system.ncols // 2]
+        assert system.exponents(picked) == [exps[c] for c in picked]
 
 
 def test_span_witness_pinned():

@@ -90,6 +90,28 @@ def test_order_too_large():
         make_field(2, 17)
 
 
+def forbid_factoring_above_max(monkeypatch):
+    """Make trial division fail on any n above MAX_FIELD_ORDER."""
+    import nlcx.finite_field as ff
+    factors = ff._prime_factors
+
+    def guarded(n):
+        assert n <= ff.MAX_FIELD_ORDER, f"factored {n} before the size check"
+        return factors(n)
+
+    monkeypatch.setattr(ff, "_prime_factors", guarded)
+
+
+def test_order_checked_before_factoring(monkeypatch):
+    forbid_factoring_above_max(monkeypatch)
+    for q in ((1 << 16) + 1, 10 ** 14 + 31, 2 ** 17, 3 ** 11):
+        with pytest.raises(ValueError, match="exceeds the supported maximum 65536"):
+            field_of_order(q)
+    with pytest.raises(ValueError, match="exceeds the supported maximum 65536"):
+        make_field(10 ** 14 + 31)
+    assert field_of_order(65521).q == 65521
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25])
 def test_field_axioms_exhaustive(q):
     f = field_of_order(q)

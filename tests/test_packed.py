@@ -36,6 +36,9 @@ class ListSystem:
         self.ncols = len(self.exps)
         self.basis = {}
 
+    def exponents(self, cols):
+        return [self.exps[c] for c in cols]
+
     def build_row(self, window, target):
         f = self.f
         row = []
