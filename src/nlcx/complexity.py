@@ -4,11 +4,12 @@ The central question: the shortest feedback length m for which some
 polynomial map f with a degree cap regenerates the sequence through
 s_{i+m} = f(s_i, ..., s_{i+m-1}).  For fixed m the existence of f is a
 linear question in the coefficients of f, decided exactly over the field:
-by Gaussian elimination over the monomial columns when there are few of
-them, and otherwise by a column-space system that never lists the
-monomials (_new_system picks by size).  Elimination runs on packed rows,
-one int per base-p digit plane, in the same way over every field; over
-F_2 a row is a bitmask.  Two degree regimes are supported:
+by Gaussian elimination over the monomial columns when they cost less
+than the rows can span, and otherwise by a column-space system that never
+lists the monomials (_new_system prices both).  Elimination runs on packed
+rows, one int per row holding its base-p digit planes, in the same way
+over every field and with no field multiplication per step; over F_2 a
+row is a bitmask.  Two degree regimes are supported:
 degree at most k in every variable separately ("each"), and total degree
 at most k ("total").  Linear complexity is computed by Berlekamp-Massey.
 
@@ -171,12 +172,17 @@ def _slot_rule(p: int, e: int) -> tuple[int, int, int]:
 class _PackedSystem:
     """Monomial system on packed rows, for every field.
 
-    A row is e ints, one per base-p digit plane of F_(p**e): the digit of
-    column c sits in the w-bit slot at bit c * w, and the augmented entry
-    in slot ncols.  row += a * b applies the F_p-matrix of x -> a * x to
-    b's planes and reduces every slot mod p at once (see _slot_rule).  A
-    row is eliminated against the pivot rows in column order and stored
+    A row is one int holding the e base-p digit planes of its entries over
+    F_(p**e): plane i starts at bit i * stride, stride = (ncols + 1) * w,
+    and in it the digit of column c sits in the w-bit slot at bit c * w,
+    that of the augmented entry in slot ncols.  Integer multiples of rows
+    add slot by slot, and one multiply-shift reduces every slot mod p at
+    once (see _slot_rule); at p = 2 a slot is one bit and adding is xor.
+    A row is eliminated against the pivot rows in column order and stored
     scaled to 1 at its pivot, so the pivots are the lex-first columns.
+    Each pivot row b is stored with its multiples x**i * b, i < e, so that
+    clearing a column whose digits are d_i adds sum_i (p - d_i) * x**i * b:
+    F_p work only, with no field multiplication.
     """
 
     def __init__(self, field: Field, m: int, k: int, mode: str):
@@ -184,14 +190,19 @@ class _PackedSystem:
         self.m, self.k, self.mode = m, k, mode
         self.kcap = cap = min(k, field.q - 1)
         self.ncols = monomial_count(m, k, mode, per_var=cap)
-        self.basis: dict[int, list[int]] = {}
+        # pivot column -> the pivot row b and its multiples, (x**i * b for i < e)
+        self.basis: dict[int, tuple[int, ...]] = {}
         self.p, self.e = field.p, field.e
         w, magic, shift = _slot_rule(self.p, self.e)
         self.w, self._magic, self._shift = w, magic, shift
         self._slot = (1 << w) - 1
+        stride = (self.ncols + 1) * w
+        self._planes = tuple(i * stride for i in range(self.e))  # plane offsets
+        self._plane = (1 << stride) - 1
         # the low w - shift bits of every slot
-        ones = ((1 << (self.ncols + 1) * w) - 1) // self._slot
+        ones = ((1 << self.e * stride) - 1) // self._slot
         self._low = ones * ((1 << w - shift) - 1)
+        self._mats: dict[int, tuple] = {}  # multiplier -> _matrix
         # build_row's blocks per variable, from the last: (b, e, source
         # budget, bit offset) places x_j**e times the source at the offset
         # in budget b's row, for each e >= 1 (see build_row)
@@ -223,58 +234,65 @@ class _PackedSystem:
     def _mod(self, x: int) -> int:
         return x - self.p * ((x * self._magic >> self._shift) & self._low)
 
-    def _times(self, a: int, planes: list[int]) -> list[int]:
-        """a * planes; at odd p each slot is left unreduced, a sum of at
-        most e digit products."""
-        if self.e == 1:  # the matrix of x -> a * x is a
-            return [a * planes[0]]
-        p, out = self.p, [0] * self.e
-        for j, b in enumerate(planes):  # a * x**j carries plane j to its digits
-            if not b:
-                continue
-            v = self.f.mul(a, p ** j)
-            for i in range(self.e):
+    def _matrix(self, a: int) -> tuple:
+        """The F_p-matrix of x -> a * x, as the nonzero digits d of each
+        a * x**j: (plane j's offset, ((d, its plane's offset), ...))."""
+        p, out = self.p, []
+        for j, src in enumerate(self._planes):
+            v, col = self.f.mul(a, p ** j), []
+            for dst in self._planes:
                 v, d = divmod(v, p)
                 if d:
-                    out[i] = out[i] ^ b if p == 2 else out[i] + d * b
+                    col.append((d, dst))
+            out.append((src, tuple(col)))
+        return tuple(out)
+
+    def _times(self, a: int, row: int) -> int:
+        """a * row; at odd p each slot is left unreduced, a sum of at most
+        e digit products."""
+        if self.e == 1:  # the matrix of x -> a * x is a
+            return a * row
+        mat = self._mats.get(a)
+        if mat is None:
+            mat = self._mats[a] = self._matrix(a)
+        out, plane = 0, self._plane
+        for src, col in mat:
+            y = row >> src & plane
+            if y:
+                for d, dst in col:
+                    out = out ^ y << dst if self.p == 2 else out + (d * y << dst)
         return out
 
-    def scaled(self, row: list[int], a: int) -> list[int]:
+    def axpy(self, row: int, a: int, b: int) -> int:
+        """row + a * b."""
+        x = self._times(a, b)
+        return row ^ x if self.p == 2 else self._mod(row + x)
+
+    def scaled(self, row: int, a: int) -> int:
         """a * row, a nonzero."""
-        if a == 1:
-            return row
-        out = self._times(a, row)
-        return out if self.p == 2 else [self._mod(x) for x in out]
+        return row if a == 1 else self.axpy(0, a, row)
 
-    def axpy(self, row: list[int], a: int, b: list[int]):
-        """row += a * b, in place."""
-        for i, x in enumerate(self._times(a, b)):
-            row[i] = row[i] ^ x if self.p == 2 else self._mod(row[i] + x)
-
-    def entry(self, row: list[int], c: int) -> int:
+    def entry(self, row: int, c: int) -> int:
         """The field element in column c of row."""
-        if len(row) == 1:
-            return row[0] >> c * self.w & self._slot
-        v = 0
-        for x in reversed(row):
-            v = v * self.p + (x >> c * self.w & self._slot)
+        at, v = c * self.w, 0
+        for s in reversed(self._planes):
+            v = v * self.p + (row >> s + at & self._slot)
         return v
 
-    def put(self, row: list[int], c: int, v: int) -> list[int]:
-        """A copy of row with v in column c."""
-        keep, out = ~(self._slot << c * self.w), []
-        for x in row:
+    def put(self, row: int, c: int, v: int) -> int:
+        """row with v in column c."""
+        at = c * self.w
+        for s in self._planes:
             v, d = divmod(v, self.p)
-            out.append(x & keep | d << c * self.w)
-        return out
+            row = row & ~(self._slot << s + at) | d << s + at
+        return row
 
-    def build_row(self, window, target: int) -> list[int]:
+    def build_row(self, window, target: int) -> int:
         """The row of one equation, built from the last variable to the
         first: the monomials led by x_j**e are x_j**e times those in the
-        later variables, and lex order lists them in blocks by e.  While
-        it grows, the row is one int holding its planes at a stride of
-        ncols + 1 slots, so a block is placed with one shift."""
-        e, stride = self.e, (self.ncols + 1) * self.w
+        later variables, and lex order lists them in blocks by e, so a
+        block is placed with one shift."""
+        p, e, mod, times = self.p, self.e, self._mod, self._times
         # level[b]: the row of the monomials in the later variables, in
         # "total" mode those of total degree <= b; it is its own e = 0 block
         level = [1] * (self.k + 1 if self.mode == "total" else 1)
@@ -287,67 +305,75 @@ class _PackedSystem:
             for b, d, src, at in blocks:
                 y = level[src] if src else base
                 a = v if d == 1 else self.f.pow(v, d)
-                if a == 1:
-                    level[b] |= y << at
-                elif e == 1:
-                    level[b] |= self._mod(a * y) << at
-                else:
-                    y = self.scaled(self._unstacked(y), a)
-                    level[b] |= sum(z << i * stride for i, z in enumerate(y)) << at
-        if e == 1:
-            return [level[-1] | target << self.ncols * self.w]
-        return self.put(self._unstacked(level[-1]), self.ncols, target)
+                if a != 1:  # p > 2 or e > 1
+                    y = a * y if e == 1 else times(a, y)
+                    if p > 2:
+                        y = mod(y)
+                level[b] |= y << at
+        return self.put(level[-1], self.ncols, target)
 
-    def _unstacked(self, x: int) -> list[int]:
-        """The planes of a row stacked as in build_row."""
-        stride = (self.ncols + 1) * self.w
-        return [x >> i * stride & ((1 << stride) - 1) for i in range(self.e)]
+    def reduce(self, row: int) -> tuple[int, int]:
+        """(c, row): row eliminated against the pivot rows, lowest column
+        first, up to its first nonzero column c that has no pivot row; c
+        is ncols when every monomial column reduces to zero."""
+        basis, p, w, ncols, slot, mod = (self.basis, self.p, self.w, self.ncols,
+                                         self._slot, self._mod)
+        if self.e == 1:  # one plane; basis has no row at the augmented column
+            c = ncols
+            if p == 2:  # F_2: the pivot is the lowest set bit, its entry 1
+                while row:
+                    c = (row & -row).bit_length() - 1
+                    b = basis.get(c)
+                    if b is None:
+                        break
+                    row ^= b[0]
+            else:  # F_p: -v * b is an integer multiple of b
+                while row:
+                    c = ((row & -row).bit_length() - 1) // w
+                    b = basis.get(c)
+                    if b is None:
+                        break
+                    row = mod(row + (p - (row >> c * w & slot)) * b[0])
+            return (c if row and c < ncols else ncols), row
+        planes = self._planes
+        while True:
+            o = row  # the pivot is the lowest nonzero slot of the planes' or
+            for s in planes[1:]:
+                o |= row >> s
+            c = ((o & -o).bit_length() - 1) // w
+            if not 0 <= c < ncols:
+                return ncols, row
+            mults = basis.get(c)
+            if mults is None:
+                return c, row
+            # -(sum_i d_i x**i) * b is sum_i (p - d_i) * (x**i * b)
+            at = c * w
+            if p == 2:
+                for s, b in zip(planes, mults):
+                    if row >> s + at & 1:
+                        row ^= b
+            else:
+                acc = row
+                for s, b in zip(planes, mults):
+                    d = row >> s + at & slot
+                    if d:
+                        acc += (p - d) * b
+                row = mod(acc)
 
-    def reduce(self, row: list[int]) -> int:
-        """Eliminate row in place against the pivot rows, lowest column
-        first, up to the first nonzero column that has no pivot row;
-        return that column, or ncols when every monomial column reduces
-        to zero.  Only row is written, so deleting a pivot row undoes its
-        add()."""
-        basis, p, w, ncols = self.basis, self.p, self.w, self.ncols
-        if self.e > 1:  # the pivot is the lowest nonzero slot of the planes' or
-            while True:
-                o = 0
-                for x in row:
-                    o |= x
-                c = ((o & -o).bit_length() - 1) // w
-                if not 0 <= c < ncols:
-                    return ncols
-                b = basis.get(c)
-                if b is None:
-                    return c
-                self.axpy(row, self.f.neg(self.entry(row, c)), b)
-        # one plane; basis has no row at the augmented column ncols
-        x, c, slot, mod = row[0], ncols, self._slot, self._mod
-        if p == 2:  # F_2: the pivot is the lowest set bit, its entry 1
-            while x:
-                c = (x & -x).bit_length() - 1
-                b = basis.get(c)
-                if b is None:
-                    break
-                x ^= b[0]
-        else:  # F_p: -v * b is an integer multiple of b
-            while x:
-                c = ((x & -x).bit_length() - 1) // w
-                b = basis.get(c)
-                if b is None:
-                    break
-                x = mod(x + (p - (x >> c * w & slot)) * b[0])
-        row[0] = x
-        return c if x and c < ncols else ncols
+    def install(self, c: int, row: int):
+        """Store row, which is 1 at column c, as the pivot row of c, with
+        its multiples by x**i; deleting basis[c] undoes it."""
+        mults = [row]
+        for _ in range(1, self.e):
+            mults.append(self.scaled(mults[-1], self.p))  # the element p is x
+        self.basis[c] = tuple(mults)
 
     def add(self, window, target: int) -> bool:
-        row = self.build_row(window, target)
-        c = self.reduce(row)
+        c, row = self.reduce(self.build_row(window, target))
         if c == self.ncols:
-            return not any(row)
+            return not row
         v = self.entry(row, c)
-        self.basis[c] = row if v == 1 else self.scaled(row, self.f.inv(v))
+        self.install(c, row if v == 1 else self.scaled(row, self.f.inv(v)))
         return True
 
     def solution(self) -> list[int]:
@@ -363,9 +389,10 @@ class _PackedSystem:
         masks = [[0] * nbits for _ in range(e)]
         sol = [0] * self.ncols
         for c in sorted(self.basis, reverse=True):
-            row = self.basis[c]
+            row = self.basis[c][0]
             acc = self.entry(row, self.ncols)
-            for i, plane in enumerate(row):
+            for i, off in enumerate(self._planes):
+                plane = row >> off  # the masks hold no bit of a later plane
                 for j in range(e):
                     dot = sum((plane >> t & s).bit_count() << t + u
                               for t in range(nbits) for u, s in enumerate(masks[j]))
@@ -531,12 +558,17 @@ class _SpanSystem:
 def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int,
                 rows: int):
     """The solver system for length-m maps fed at most `rows` rows: a span
-    system when that holds fewer columns than the monomial set (q > 2),
-    else the monomial system; max_monomials bounds the columns built."""
+    system (q > 2) when the monomials outnumber its candidate columns and
+    also cost more, else the monomial system; max_monomials bounds the
+    columns built.  A packed monomial column is w * e bits of each row, so
+    it is priced in 64-bit words against one word per span candidate; the
+    span system is also used wherever the monomials alone pass
+    max_monomials."""
     q = field.q
     ncols = monomial_count(m, k, mode, per_var=q - 1)
     held = m * (min(k, q - 1) + 1) * max(rows, 1)
-    if q > 2 and ncols > held:
+    bits = _slot_rule(field.p, field.e)[0] * field.e
+    if q > 2 and ncols > held and (ncols * bits > 64 * held or ncols > max_monomials):
         if held > max_monomials:
             raise GuardExceeded("span candidate columns", held, max_monomials)
         return _SpanSystem(field, m, k, mode, rows)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .finite_field import Field, make_field, prime_power
+from .finite_field import Field, check_field_order, make_field, prime_power
 from .generators import Sequence
 
 DEFAULT_MAX_ELL = 5
@@ -169,11 +169,12 @@ class HermitianCurve:
     """Geometry helper bound to one l and its canonical field F_(l**2)."""
 
     def __init__(self, ell: int, *, allow_large: bool = False):
+        if ell < 2:
+            raise ValueError("l must be >= 2")
+        check_field_order(ell * ell)  # before prime_power's trial division
         pp = prime_power(ell)
         if pp is None:
             raise ValueError(f"l={ell} must be a prime power")
-        if ell < 2:
-            raise ValueError("l must be >= 2")
         if ell > DEFAULT_MAX_ELL and not allow_large:
             raise ValueError(
                 f"l={ell} exceeds the default range (2..{DEFAULT_MAX_ELL}); "

@@ -98,8 +98,7 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
                 branch = t is None
                 row = iv = None
             else:
-                row = build(vals[L - m:L], 0)
-                key = reduce(row)
+                key, row = reduce(build(vals[L - m:L], 0))
                 branch = key < ncols
                 if branch:
                     iv = inv(entry(row, key))
@@ -129,8 +128,8 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
                     store[key] = t
                 else:
                     # the target t enters the pivot row's augmented entry
-                    store[key] = system.put(
-                        row, ncols, add(entry(row, ncols), mul(iv, t)))
+                    system.install(key, system.put(
+                        row, ncols, add(entry(row, ncols), mul(iv, t))))
                 vals[L] = t
                 L += 1
                 nodes += 1

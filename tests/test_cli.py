@@ -193,7 +193,8 @@ def test_field_order_refused_before_factoring(capsys, monkeypatch):
     for argv in (("gen", "--kind", "inversive", "--q", q),
                  ("gen", "--kind", "inversive", "--q", q, "--primitive", "3"),
                  ("verify", "--construction", "inversive", "--q", q),
-                 ("count", "--q", q, "--k", "1", "--n", "3", "--m", "1")):
+                 ("count", "--q", q, "--k", "1", "--n", "3", "--m", "1"),
+                 ("gen", "--kind", "hermitian", "--ell", q, "--allow-large")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert "exceeds the supported maximum 65536" in err, argv

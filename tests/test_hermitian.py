@@ -221,6 +221,22 @@ def test_wrapper_functions():
         HermitianCurve(7)  # above the size guard without allow_large
 
 
+def test_curve_size_checked_before_factoring(monkeypatch):
+    from test_finite_field import forbid_factoring_above_max
+    forbid_factoring_above_max(monkeypatch)
+    for ell in (257, 10 ** 14 + 31):
+        for allow_large in (False, True):
+            with pytest.raises(ValueError, match="exceeds the supported maximum 65536"):
+                HermitianCurve(ell, allow_large=allow_large)
+    # up to l = 256, where q = l**2 is in range, the messages are as before
+    with pytest.raises(ValueError, match="l=6 must be a prime power"):
+        HermitianCurve(6)
+    with pytest.raises(ValueError, match="l=256 exceeds the default range"):
+        HermitianCurve(256)
+    with pytest.raises(ValueError, match="l must be >= 2"):
+        HermitianCurve(1)
+
+
 def test_allow_large_escape_hatch():
     curve = HermitianCurve(7, allow_large=True)
     assert curve.field.q == 49

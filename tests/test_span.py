@@ -8,6 +8,7 @@ replaying every witness it returns.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -152,3 +153,66 @@ def test_inversive_q49_in_reach():
     # 2**21 monomial columns at k = 1; the span systems hold a few hundred
     checks = verify("inversive", q=49, k_values=[1, 2])
     assert checks and all_passed(checks)
+
+
+def test_new_system_rule_keeps_packed_and_guards(monkeypatch):
+    # span systems are picked by pricing a packed column in 64-bit words;
+    # every system the rule counting columns alone made packed stays
+    # packed, and exactly the same guards trip, with the same sizes
+    monkeypatch.setattr(cx, "_PackedSystem", lambda *args: "packed")
+    monkeypatch.setattr(cx, "_SpanSystem", lambda *args: "span")
+    moved = 0
+    for q in (3, 4, 5, 9, 25, 29, 49):
+        field = field_of_order(q)
+        for m, k, mode, rows, limit in itertools.product(
+                range(1, 17), (1, 2, 3), MODES, (1, 15, 100, 1000), (10, 1 << 20)):
+            ncols = cx.monomial_count(m, k, mode, per_var=q - 1)
+            held = m * (min(k, q - 1) + 1) * rows
+            if ncols > held:  # the rule counting columns alone
+                old = ("span candidate columns", held, limit) if held > limit else "span"
+            else:
+                old = ("monomial set", ncols, limit) if ncols > limit else "packed"
+            try:
+                new = cx._new_system(field, m, k, mode, limit, rows)
+            except cx.GuardExceeded as err:
+                new = (err.what, err.size, err.limit)
+            if old == "span" and new == "packed":
+                moved += 1
+            else:
+                assert new == old, (q, m, k, mode, rows, limit)
+    assert moved
+    # Hermitian ell = 7, nk at k = 1, m = 13: 8,192 columns of 26 bits each
+    # cost 3,328 words against 13 * 2 * 275 = 7,150 span candidates
+    assert cx._new_system(field_of_order(49), 13, 1, "each", 1 << 20, 275) == "packed"
+
+
+@pytest.mark.parametrize("q, count", [(3, 2), (5, 1)])
+def test_packed_choice_matches_span_systems(q, count, monkeypatch):
+    # where the rule now picks a packed system over a span system, values
+    # and profiles are those found with span systems throughout, and the
+    # witnesses, now canonical ones, replay
+    field = field_of_order(q)
+    rng = random.Random(q)
+    seqs = [Sequence(field, [rng.randrange(q) for _ in range(96)])
+            for _ in range(count)]
+    cases = list(itertools.product(seqs, (1, 2)))
+    picked = []
+    new_system = cx._new_system
+
+    def recording(field, m, k, mode, limit, rows):
+        system = new_system(field, m, k, mode, limit, rows)
+        picked.append(isinstance(system, cx._PackedSystem) and
+                      system.ncols > m * (min(k, q - 1) + 1) * rows)
+        return system
+
+    monkeypatch.setattr(cx, "_new_system", recording)
+    got = []
+    for s, k in cases:
+        rep = cx.nonlinear_complexity(s, k)
+        assert rep.witness.replay(field, s.values, 96) == s.values
+        got.append((cx.profile(s, k, "nk"), rep.value))
+    assert any(picked)  # some packed system holds more columns than a span one
+    monkeypatch.setattr(cx, "_new_system", lambda field, m, k, mode, limit, rows:
+                        cx._SpanSystem(field, m, k, mode, rows))
+    for (s, k), (prof, value) in zip(cases, got):
+        assert cx.profile(s, k, "nk") == prof and prof[-1] == value
