@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import __version__, bounds, stats
 from . import complexity as cx
-from .finite_field import check_field_order, field_of_order, make_field, prime_power
+from .finite_field import check_field_order, make_field, prime_power
 from .generators import (Sequence, inversive_finite, inversive_periodic,
                          random_sequence, read_sequence, sequence_to_text)
 from .hermitian import HermitianCurve, apply_automorphism_to_h
@@ -78,9 +78,7 @@ def _field_from_args(args):
     pp = prime_power(q)
     if pp is None:
         raise ValueError(f"q={q} is not a prime power")
-    if getattr(args, "primitive", None) is not None:
-        return make_field(*pp, primitive=args.primitive)
-    return field_of_order(q)
+    return make_field(*pp, primitive=getattr(args, "primitive", None))
 
 
 # -- gen ---------------------------------------------------------------------

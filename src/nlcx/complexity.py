@@ -7,9 +7,9 @@ linear question in the coefficients of f, decided exactly over the field:
 by Gaussian elimination over the monomial columns when they cost less
 than the rows can span, and otherwise by a column-space system that never
 lists the monomials (_new_system prices both).  Elimination runs on packed
-rows, one int per row holding its base-p digit planes, in the same way
-over every field and with no field multiplication per step; over F_2 a
-row is a bitmask.  Two degree regimes are supported:
+rows, one int per row with one cell of base-p digits per column, in the
+same way over every field and with no field multiplication per step; over
+F_2 a row is a bitmask.  Two degree regimes are supported:
 degree at most k in every variable separately ("each"), and total degree
 at most k ("total").  Linear complexity is computed by Berlekamp-Massey.
 
@@ -172,12 +172,13 @@ def _slot_rule(p: int, e: int) -> tuple[int, int, int]:
 class _PackedSystem:
     """Monomial system on packed rows, for every field.
 
-    A row is one int holding the e base-p digit planes of its entries over
-    F_(p**e): plane i starts at bit i * stride, stride = (ncols + 1) * w,
-    and in it the digit of column c sits in the w-bit slot at bit c * w,
-    that of the augmented entry in slot ncols.  Integer multiples of rows
-    add slot by slot, and one multiply-shift reduces every slot mod p at
-    once (see _slot_rule); at p = 2 a slot is one bit and adding is xor.
+    A row is one int with a cell of e * w bits per column over F_(p**e):
+    column c's at bit c * e * w, the augmented entry's in cell ncols, and
+    base-p digit i of the entry in the w-bit slot at bit i * w of the cell.
+    Integer multiples of rows add slot by slot, and one multiply-shift
+    reduces every slot mod p at once (see _slot_rule); at p = 2 a slot is
+    one bit, a cell is the entry's encoding and adding is xor.  Every
+    scalar product is a sum of digit multiples of x**i * row (_powers).
     A row is eliminated against the pivot rows in column order and stored
     scaled to 1 at its pivot, so the pivots are the lex-first columns.
     Each pivot row b is stored with its multiples x**i * b, i < e, so that
@@ -190,19 +191,20 @@ class _PackedSystem:
         self.m, self.k, self.mode = m, k, mode
         self.kcap = cap = min(k, field.q - 1)
         self.ncols = monomial_count(m, k, mode, per_var=cap)
-        # pivot column -> the pivot row b and its multiples, (x**i * b for i < e)
-        self.basis: dict[int, tuple[int, ...]] = {}
-        self.p, self.e = field.p, field.e
-        w, magic, shift = _slot_rule(self.p, self.e)
+        # pivot column -> the pivot row b and its multiples, [x**i * b for i < e]
+        self.basis: dict[int, list[int]] = {}
+        self.p, self.e = p, e = field.p, field.e
+        w, magic, shift = _slot_rule(p, e)
         self.w, self._magic, self._shift = w, magic, shift
         self._slot = (1 << w) - 1
-        stride = (self.ncols + 1) * w
-        self._planes = tuple(i * stride for i in range(self.e))  # plane offsets
-        self._plane = (1 << stride) - 1
-        # the low w - shift bits of every slot
-        ones = ((1 << self.e * stride) - 1) // self._slot
-        self._low = ones * ((1 << w - shift) - 1)
-        self._mats: dict[int, tuple] = {}  # multiplier -> _matrix
+        self._width = width = e * w  # bits per cell
+        self._cell = (1 << width) - 1
+        # bit 0 of every cell, then the low w - shift bits of every slot
+        cells = ((1 << (self.ncols + 1) * width) - 1) // self._cell
+        self._low = cells * (self._cell // self._slot * ((1 << w - shift) - 1))
+        self._top = cells * self._slot << width - w  # the top slot of every cell
+        # x**e = -sum_j m_j x**j, m the field's modulus, as a cell
+        self._fold = sum(-c % p << j * w for j, c in enumerate(field.modulus[:-1]))
         # build_row's blocks per variable, from the last: (b, e, source
         # budget, bit offset) places x_j**e times the source at the offset
         # in budget b's row, for each e >= 1 (see build_row)
@@ -215,7 +217,7 @@ class _PackedSystem:
                 at = cols[b]
                 for e in range(1, min(cap, b) + 1 if total else cap + 1):
                     src = b - e if total else 0
-                    blocks.append((b, e, src, at * w))
+                    blocks.append((b, e, src, at * width))
                     at += cols[src]
                 cols[b] = at
             self._plan.append(blocks)
@@ -234,33 +236,30 @@ class _PackedSystem:
     def _mod(self, x: int) -> int:
         return x - self.p * ((x * self._magic >> self._shift) & self._low)
 
-    def _matrix(self, a: int) -> tuple:
-        """The F_p-matrix of x -> a * x, as the nonzero digits d of each
-        a * x**j: (plane j's offset, ((d, its plane's offset), ...))."""
-        p, out = self.p, []
-        for j, src in enumerate(self._planes):
-            v, col = self.f.mul(a, p ** j), []
-            for dst in self._planes:
-                v, d = divmod(v, p)
-                if d:
-                    col.append((d, dst))
-            out.append((src, tuple(col)))
-        return tuple(out)
+    def _powers(self, row: int) -> list[int]:
+        """[row, x * row, ..., x**(e - 1) * row] for a reduced row: x moves
+        each digit up one slot of its cell, and the digit d leaving the top
+        comes back as d * x**e in the slots of the same cell."""
+        out, w, top = [row], self.w, self._top
+        up = (self.e - 1) * w
+        for _ in range(1, self.e):
+            t = row & top
+            x = (t >> up) * self._fold  # no product leaves its cell's slots
+            row = (row ^ t) << w
+            row = row ^ x if self.p == 2 else self._mod(row + x)
+            out.append(row)
+        return out
 
     def _times(self, a: int, row: int) -> int:
-        """a * row; at odd p each slot is left unreduced, a sum of at most
-        e digit products."""
-        if self.e == 1:  # the matrix of x -> a * x is a
+        """a * row, sum_i a_i * x**i * row over a's base-p digits a_i; at
+        odd p each slot is left unreduced, a sum of at most e products."""
+        if self.e == 1:
             return a * row
-        mat = self._mats.get(a)
-        if mat is None:
-            mat = self._mats[a] = self._matrix(a)
-        out, plane = 0, self._plane
-        for src, col in mat:
-            y = row >> src & plane
-            if y:
-                for d, dst in col:
-                    out = out ^ y << dst if self.p == 2 else out + (d * y << dst)
+        p, out = self.p, 0
+        for y in self._powers(row):
+            a, d = divmod(a, p)
+            if d:
+                out = out ^ y if p == 2 else out + d * y
         return out
 
     def axpy(self, row: int, a: int, b: int) -> int:
@@ -274,18 +273,22 @@ class _PackedSystem:
 
     def entry(self, row: int, c: int) -> int:
         """The field element in column c of row."""
-        at, v = c * self.w, 0
-        for s in reversed(self._planes):
-            v = v * self.p + (row >> s + at & self._slot)
-        return v
+        v = row >> c * self._width & self._cell
+        if self.p == 2 or self.e == 1:  # the cell is the encoding
+            return v
+        p, w, slot = self.p, self.w, self._slot
+        return sum((v >> i * w & slot) * p ** i for i in range(self.e))
 
     def put(self, row: int, c: int, v: int) -> int:
         """row with v in column c."""
-        at = c * self.w
-        for s in self._planes:
-            v, d = divmod(v, self.p)
-            row = row & ~(self._slot << s + at) | d << s + at
-        return row
+        at = c * self._width
+        if self.p > 2 and self.e > 1:  # spread v's digits over the slots
+            p, w, cell = self.p, self.w, 0
+            for i in range(self.e):
+                v, d = divmod(v, p)
+                cell |= d << i * w
+            v = cell
+        return row & ~(self._cell << at) | v << at
 
     def build_row(self, window, target: int) -> int:
         """The row of one equation, built from the last variable to the
@@ -318,7 +321,7 @@ class _PackedSystem:
         is ncols when every monomial column reduces to zero."""
         basis, p, w, ncols, slot, mod = (self.basis, self.p, self.w, self.ncols,
                                          self._slot, self._mod)
-        if self.e == 1:  # one plane; basis has no row at the augmented column
+        if self.e == 1:  # basis has no row at the augmented column
             c = ncols
             if p == 2:  # F_2: the pivot is the lowest set bit, its entry 1
                 while row:
@@ -335,38 +338,34 @@ class _PackedSystem:
                         break
                     row = mod(row + (p - (row >> c * w & slot)) * b[0])
             return (c if row and c < ncols else ncols), row
-        planes = self._planes
+        width, cell = self._width, self._cell
         while True:
-            o = row  # the pivot is the lowest nonzero slot of the planes' or
-            for s in planes[1:]:
-                o |= row >> s
-            c = ((o & -o).bit_length() - 1) // w
+            c = ((row & -row).bit_length() - 1) // width
             if not 0 <= c < ncols:
                 return ncols, row
             mults = basis.get(c)
             if mults is None:
                 return c, row
             # -(sum_i d_i x**i) * b is sum_i (p - d_i) * (x**i * b)
-            at = c * w
+            v = row >> c * width & cell
             if p == 2:
-                for s, b in zip(planes, mults):
-                    if row >> s + at & 1:
+                for b in mults:
+                    if v & 1:
                         row ^= b
+                    v >>= 1
             else:
                 acc = row
-                for s, b in zip(planes, mults):
-                    d = row >> s + at & slot
+                for b in mults:
+                    d = v & slot
                     if d:
                         acc += (p - d) * b
+                    v >>= w
                 row = mod(acc)
 
     def install(self, c: int, row: int):
         """Store row, which is 1 at column c, as the pivot row of c, with
         its multiples by x**i; deleting basis[c] undoes it."""
-        mults = [row]
-        for _ in range(1, self.e):
-            mults.append(self.scaled(mults[-1], self.p))  # the element p is x
-        self.basis[c] = tuple(mults)
+        self.basis[c] = self._powers(row)
 
     def add(self, window, target: int) -> bool:
         c, row = self.reduce(self.build_row(window, target))
@@ -379,22 +378,22 @@ class _PackedSystem:
     def solution(self) -> list[int]:
         """Pivot variables by back-substitution, free variables zero.  A
         pivot row's dot product with the solution sums, over pairs of
-        planes (i, j), x**i * x**j times their digit products mod p,
+        digits (i, j), x**i * x**j times their digit products mod p,
         counted by popcounts against bit masks of the solution."""
         f, p, e, w = self.f, self.p, self.e, self.w
         nbits = (p - 1).bit_length()
         cross = [[f.mul(p ** i, p ** j) for j in range(e)] for i in range(e)]
-        # masks[j][u]: the low bit of each column whose solved value has
-        # bit u set in its digit j
+        # masks[j][u]: bit 0 of the cell of each column whose solved value
+        # has bit u set in its digit j
         masks = [[0] * nbits for _ in range(e)]
         sol = [0] * self.ncols
         for c in sorted(self.basis, reverse=True):
             row = self.basis[c][0]
             acc = self.entry(row, self.ncols)
-            for i, off in enumerate(self._planes):
-                plane = row >> off  # the masks hold no bit of a later plane
+            for i in range(e):
+                digits = row >> i * w  # digit i of each cell at the cell's bit 0
                 for j in range(e):
-                    dot = sum((plane >> t & s).bit_count() << t + u
+                    dot = sum((digits >> t & s).bit_count() << t + u
                               for t in range(nbits) for u, s in enumerate(masks[j]))
                     if dot % p:
                         acc = f.sub(acc, f.mul(dot % p, cross[i][j]))
@@ -403,7 +402,7 @@ class _PackedSystem:
                 v, d = divmod(v, p)
                 for u in range(nbits):
                     if d >> u & 1:
-                        masks[j][u] |= 1 << c * w
+                        masks[j][u] |= 1 << c * self._width
         return sol
 
 

@@ -86,13 +86,10 @@ class ListSystem:
 
 
 def pack(system, elems):
-    """The packed row of a list of field elements, one per slot."""
-    p, w = system.f.p, system.w
+    """The packed row of a list of field elements, one per column."""
     row = 0
     for c, v in enumerate(elems):
-        for plane in system._planes:
-            v, d = divmod(v, p)
-            row |= d << plane + c * w
+        row = system.put(row, c, v)
     return row
 
 
@@ -203,6 +200,20 @@ def test_slot_arithmetic_matches_field():
                 == [v % f.p for v in values], q
 
 
+class CountedBasis(dict):
+    """A pivot-row store that counts reduce's steps, one get() per step,
+    and fails once they pass a limit instead of letting reduce spin."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.left = limit
+
+    def get(self, key, default=None):
+        self.left -= 1
+        assert self.left >= 0, "reduce took more steps than columns"
+        return super().get(key, default)
+
+
 def test_pivot_rows_stored_with_their_multiples():
     # eliminating a column adds integer multiples of x**i * b, so each
     # stored multiple must be x**i times the pivot row b, entry by entry
@@ -211,6 +222,8 @@ def test_pivot_rows_stored_with_their_multiples():
         f = field_of_order(q)
         system = cx._PackedSystem(f, 3, 2, "each")
         slots = system.ncols + 1
+        # each step clears the row's lowest nonzero column for good
+        system.basis = CountedBasis(12 * slots)
         for _ in range(12):
             system.add([rng.randrange(q) for _ in range(3)], rng.randrange(q))
         assert system.basis, q
@@ -223,18 +236,37 @@ def test_pivot_rows_stored_with_their_multiples():
                     [f.mul(f.p ** i, x) for x in b], (q, c, i)
 
 
+def traced_peak(run):
+    """The peak of the memory that tracemalloc sees allocated by run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_large_fields_build_rows_and_allocate_no_field_sized_table():
-    rng = random.Random(11)
+    rng, seqs = random.Random(11), random.Random(12)
     for q in (65521, 2 ** 16, 3 ** 10):
         f = field_of_order(q)  # the field's own tables are built here
         vals = [rng.randrange(q) for _ in range(6)]
-        tracemalloc.start()
-        try:
+
+        def against_oracle():
             for k, mode in ((2, "each"), (3, "total")):
                 packed_vs_oracle(f, vals, k, mode, max_columns=64)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one entry per field element would take 8 bytes * q alone
-        assert peak < q, (q, peak)
 
+        # one entry per field element would take 8 bytes * q alone
+        peak = traced_peak(against_oracle)
+        assert peak < q, (q, peak)
+        # a packed system keeps no state per multiplier it has seen, so
+        # many rows with many distinct entries cost no more
+        seq = [seqs.randrange(q) for _ in range(200)]
+
+        def packed_only():
+            system = cx._PackedSystem(f, 2, 2, "each")
+            for i in range(198):
+                system.add(seq[i:i + 2], seq[i + 2])
+
+        peak = traced_peak(packed_only)
+        assert peak < q, (q, peak)
