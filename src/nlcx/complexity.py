@@ -627,8 +627,9 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
 
     Profiles are nondecreasing, so each length m is tried once, at the
     prefix where m - 1 failed: its system is fed that prefix and then
-    grows one row at a time.  The search stops before the first prefix
-    whose complexity would exceed cap.
+    grows one row at a time.  A length at which two equal windows of the
+    prefix are followed by different terms builds no system.  The search
+    stops before the first prefix whose complexity would exceed cap.
     """
     if mode == "total" and k == 1:
         return _affine_profile(field, vals, cap), None
@@ -651,7 +652,9 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
             if seen is not None:
                 seen.clear()
                 ok = _windows_consistent(vals, idx + 1, m, seen)
-            else:
+            # equal windows followed by different terms: no map of any
+            # degree fits, so no system is built for this m
+            elif _windows_consistent(vals, idx + 1, m, {}):
                 system = _new_system(field, m, k, mode, max_monomials, len(vals) - m)
                 ok = _feed(system, vals, idx + 1, m)
         out.append(m)

@@ -2,7 +2,8 @@
 
 exhaustive_count counts the length-n sequences over F_q whose
 per-variable-cap complexity is at most m by walking the tree of their
-prefixes with one length-m feedback system, and checks the count against
+prefixes with one length-m feedback system, from one first window per
+orbit of the affine maps x -> a*x + b, and checks the count against
 the closed form q^((k+1)^m + m).  monte_carlo_profile draws
 seeded random sequences, computes their complexity profiles and
 aggregates per-length statistics against the reference curve
@@ -62,10 +63,32 @@ def _sharded(fn, args: tuple, total: int, threads: int) -> list:
         return list(pool.map(fn, *zip(*[args + span for span in spans])))
 
 
+def _orbit_roots(q: int, m: int, lo: int, hi: int):
+    """(code, weight) for each first window in lo..hi - 1, by integer code,
+    that stands for its orbit under the affine maps x -> a*x + b (a != 0),
+    weighted by the orbit's size.
+
+    0^m stands for the q constant windows.  A non-constant window has one
+    image whose first term is 0 and whose first nonzero term is 1, and an
+    orbit of q(q - 1), since an affine map fixing two points is the
+    identity; with vals[0] the lowest digit those are the codes
+    (1 + q*t)*q^j, 1 <= j < m, 0 <= t < q^(m - j - 1).
+    """
+    if lo == 0 < hi:
+        yield 0, q
+    for j in range(1, m):
+        first, step = q ** j, q ** (j + 1)
+        start = first + max(0, -(-(lo - first) // step)) * step
+        for code in range(start, hi, step):
+            yield code, q * (q - 1)
+
+
 def _walk(q: int, k: int, n: int, m: int, budget: int,
           lo: int, hi: int) -> tuple[int, int]:
-    """(count, nodes) of the prefix-tree walk under the roots lo..hi - 1,
-    the first windows by integer code; it stops once nodes exceeds budget.
+    """(count, nodes) of the prefix-tree walk under the orbit roots whose
+    codes lie in lo..hi - 1, each weighted by its orbit's size, so spans
+    covering 0..q^m - 1 sum to the whole tree; it stops once nodes exceeds
+    budget, and nodes is then the weighted total where it stopped.
 
     A node is a prefix of length L, m <= L <= n, that one length-m map
     fits; the equation at L is the window vals[L - m:L].  When the
@@ -73,6 +96,14 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
     the q terms fixes the same new pivot.  A child stores its pivot row
     (its window's term under the window scan) on the way down and an undo
     mark below its siblings deletes it, so one system serves the walk.
+
+    Mapping every term by x -> a*x + b maps the maps that fit onto maps
+    that fit, f'(y) = a*f((y - b)/a) + b with no variable's degree raised,
+    so it maps the tree under one root onto the tree under its image.  So
+    only one root per orbit is walked (_orbit_roots), and its count and
+    nodes are weighted by the orbit's size: nodes is the node total of
+    the whole tree, and the walk stops inside a root as soon as the
+    weighted total passes budget.
     """
     field = field_of_order(q)
     neg, mul, add, inv = field.neg, field.mul, field.add, field.inv
@@ -85,13 +116,14 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
     terms = range(q - 1, -1, -1)
     vals = [0] * n
     count = nodes = 0
-    for code in range(lo, hi):
+    for code, weight in _orbit_roots(q, m, lo, hi):
         for i in range(m):
             code, vals[i] = divmod(code, q)
-        nodes += 1
+        room = (budget - nodes) // weight  # this root's nodes within budget
+        found, here = 0, 1  # leaves and nodes under this root
         L = m
         todo = []  # (key, term, L, pivot row, its inverse scale); term -1: undo
-        while nodes <= budget:
+        while here <= room:
             if system is None:
                 key = tuple(vals[L - m:L])
                 t = store.get(key)
@@ -107,12 +139,12 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
                     t = neg(entry(row, ncols))
             if L + 1 == n:  # the children are leaves
                 leaves = q if branch else 1
-                count += leaves
-                nodes += leaves
+                found += leaves
+                here += leaves
             elif not branch:
                 vals[L] = t
                 L += 1
-                nodes += 1
+                here += 1
                 continue
             else:
                 todo.append((key, -1, 0, None, 0))
@@ -132,10 +164,12 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
                         row, ncols, add(entry(row, ncols), mul(iv, t))))
                 vals[L] = t
                 L += 1
-                nodes += 1
+                here += 1
                 break
             else:
                 break
+        count += weight * found
+        nodes += weight * here
         if nodes > budget:
             break
     return count, nodes
@@ -169,12 +203,17 @@ def exhaustive_count(q: int, k: int, n: int, m: int, *,
     degree <= k in each variable fits: a shorter map lifts to length m by
     ignoring its leading variables, and the zero map fits the zero
     sequence.  So no sequence is enumerated: the count walks the tree of
-    prefixes that such a map fits, depth first from the q^m first windows,
-    sharded over those roots.  max_sequences bounds the nodes it visits.
-    The walk visits at least q^m + n - m of them, the roots and the
-    all-zero path, and that is checked before any work, with m >= n - 1
-    counted as n - 1 since every sequence has complexity <= n - 1.  So is
-    the printed length of the bound (_counting_bound).
+    prefixes that such a map fits, depth first, sharded over the codes of
+    the q^m first windows.  An affine map x -> a*x + b of every term maps
+    the tree under one first window onto the tree under its image, so the
+    walk starts one window per orbit, 1 + (q^(m-1) - 1)/(q - 1) of them,
+    and weights each by its orbit's size (_walk).  max_sequences bounds
+    the nodes of the whole tree, the weighted total, so it trips where a
+    walk from all q^m windows would.  The tree has at least q^m + n - m
+    nodes, the roots and the all-zero path, and that is checked before any
+    work, with m >= n - 1 counted as n - 1 since every sequence has
+    complexity <= n - 1.  So is the printed length of the bound
+    (_counting_bound).
     """
     field = field_of_order(q)  # validates q
     if n < 1:

@@ -215,6 +215,27 @@ def test_one_system_per_length_tried(monkeypatch):
     assert made == [rep.value]
 
 
+def test_conflicting_windows_build_no_system(monkeypatch):
+    made = []
+    new_system = cx._new_system
+
+    def counted(field, m, *args):
+        made.append(m)
+        return new_system(field, m, *args)
+
+    monkeypatch.setattr(cx, "_new_system", counted)
+    # the m = 2 system fails at the last term, where the window (1, 2, 0)
+    # is followed by 2 after being followed by 1: no map of any degree fits
+    # at m = 3, so the search goes on to m = 4 without a system at 3
+    s = seq(3, [1, 2, 0, 1, 1, 2, 0, 2])
+    assert cx.profile(s, 1, "nk") == [1, 1, 1, 1, 2, 2, 2, 4]
+    assert made == [1, 2, 4]
+    made.clear()
+    # the impulse repeats the zero window below m = n - 1
+    assert cx.nonlinear_complexity(seq(3, [0, 0, 0, 0, 1]), 1).value == 4
+    assert made == [4]
+
+
 def check_affine(s, cold):
     """lk at k = 1 (Berlekamp-Massey on the differences) against the cold
     search: the profile at every prefix, the value with its witness, and

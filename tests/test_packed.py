@@ -106,6 +106,9 @@ def packed_vs_oracle(field, vals, k, mode, max_columns=None):
         if max_columns and cx.monomial_count(m, k, mode, field.q - 1) > max_columns:
             break
         packed = cx._PackedSystem(field, m, k, mode)
+        # each row's elimination clears its lowest nonzero column for good,
+        # so a broken one fails here instead of spinning
+        packed.basis = CountedBasis((n - m) * (packed.ncols + 1))
         oracle = ListSystem(field, m, k, mode)
         assert packed.ncols == oracle.ncols
         slots = packed.ncols + 1

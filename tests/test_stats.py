@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 import sys
@@ -100,6 +101,77 @@ def test_count_walk_matches_enumeration():
     for q, k, n, m in ORACLE_SETS:
         assert stats.exhaustive_count(q, k, n, m).count == \
             _count_by_enumeration(q, k, n, m), (q, k, n, m)
+
+
+def test_orbit_walk_matches_enumeration():
+    # the walk's nodes are the prefixes of length m..n that a length-m map
+    # fits, so its weighted node total is the sum of the counts at each
+    # length; exhaustive_count decides m >= n - 1 without a walk
+    for q, k, n, m in ORACLE_SETS:
+        if m >= n - 1:
+            continue
+        assert stats._walk(q, k, n, m, 10 ** 9, 0, q ** m) == (
+            _count_by_enumeration(q, k, n, m),
+            sum(_count_by_enumeration(q, k, L, m) for L in range(m, n + 1))), \
+            (q, k, n, m)
+
+
+def test_orbit_roots_one_per_affine_orbit():
+    # orbits under x -> a*x + b computed with the field's own arithmetic
+    for q in (2, 3, 4, 5, 8, 9):
+        f = field_of_order(q)
+        for m in (1, 2, 3):
+            windows = list(itertools.product(range(q), repeat=m))
+            orbit = {w: frozenset(tuple(f.add(f.mul(a, x), b) for x in w)
+                                  for a in range(1, q) for b in range(q))
+                     for w in windows}
+            roots = {}
+            for code, weight in stats._orbit_roots(q, m, 0, q ** m):
+                w = []
+                for _ in range(m):
+                    code, d = divmod(code, q)
+                    w.append(d)
+                roots[tuple(w)] = weight
+            assert len(roots) == len(set(orbit.values())), (q, m)
+            assert {orbit[w] for w in roots} == set(orbit.values()), (q, m)
+            assert all(len(orbit[w]) == weight for w, weight in roots.items())
+
+
+def test_orbit_walk_starts_one_root_per_orbit(monkeypatch):
+    started = []
+    orbit_roots = stats._orbit_roots
+
+    def counted(*args):
+        for root in orbit_roots(*args):
+            started.append(root)
+            yield root
+
+    monkeypatch.setattr(stats, "_orbit_roots", counted)
+    # (3, 1, 9, 3) goes from 27 roots to 5, (2, 1, 17, 4) from 16 to 8
+    for q, k, n, m, roots in ((3, 1, 9, 3, 5), (2, 1, 17, 4, 8),
+                              (4, 1, 6, 2, 2), (9, 1, 5, 3, 11)):
+        started.clear()
+        stats.exhaustive_count(q, k, n, m)
+        assert len(started) == roots == 1 + (q ** (m - 1) - 1) // (q - 1)
+        assert sum(weight for _, weight in started) == q ** m
+
+
+def test_orbit_walk_splits_at_every_cut():
+    q, k, n, m = 3, 1, 8, 2
+    for cut in range(q ** m + 1):
+        a = stats._walk(q, k, n, m, 10 ** 9, 0, cut)
+        b = stats._walk(q, k, n, m, 10 ** 9, cut, q ** m)
+        assert (a[0] + b[0], a[1] + b[1]) == (423, 1491), cut
+
+
+def test_orbit_walk_stops_near_the_budget():
+    # a trip stops inside the root whose weighted nodes pass the budget,
+    # at most one step past it: q leaves and the next child, weighted by
+    # q(q - 1)
+    q, k, n, m = 3, 1, 8, 2
+    for budget in range(1, 1491, 7):
+        nodes = stats._walk(q, k, n, m, budget, 0, q ** m)[1]
+        assert budget < nodes <= budget + (q + 1) * q * (q - 1), budget
 
 
 def test_count_pinned_and_reach_values():
