@@ -6,12 +6,19 @@ s_{i+m} = f(s_i, ..., s_{i+m-1}).  For fixed m the existence of f is a
 linear question in the coefficients of f, decided exactly over the field:
 by Gaussian elimination over the monomial columns when they cost less
 than the rows can span, and otherwise by a column-space system that never
-lists the monomials (_new_system prices both).  Elimination runs on packed
-rows, one int per row with one cell of base-p digits per column, in the
-same way over every field and with no field multiplication per step; over
-F_2 a row is a bitmask.  Two degree regimes are supported:
-degree at most k in every variable separately ("each"), and total degree
-at most k ("total").  Linear complexity is computed by Berlekamp-Massey.
+lists the monomials (span._SpanSystem; _new_system prices both).
+Elimination runs on packed rows, one int per row with one cell of base-p
+digits per column, in the same way over every field and with no field
+multiplication per step; over F_2 a row is a bitmask.  Two degree regimes
+are supported: degree at most k in every variable separately ("each"),
+and total degree at most k ("total").  Linear complexity is computed by
+Berlekamp-Massey.
+
+Which basis: with no witness wanted, "each"-mode elimination runs in the
+Lagrange basis on the nodes 0..kcap (finite_field.BasisValues), where a
+term at a node fills one column of its block.  That keeps the column
+span, so every value, profile and count is the one the monomials give.
+A witness search builds monomial systems throughout.
 
 Total degree 1 needs no system at all.  An affine map
 s_{i+m} = c + sum_j a_j s_{i+j} fits N terms exactly when the first
@@ -37,8 +44,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
-from .finite_field import Field
+from .finite_field import Field, basis_values
 from .generators import Sequence
+from .span import _SpanSystem
 
 DEFAULT_MAX_MONOMIALS = 1 << 20
 DEFAULT_MAX_ENUM = 1 << 24
@@ -205,27 +213,42 @@ class _PackedSystem:
         self._top = cells * self._slot << width - w  # the top slot of every cell
         # x**e = -sum_j m_j x**j, m the field's modulus, as a cell
         self._fold = sum(-c % p << j * w for j, c in enumerate(field.modulus[:-1]))
-        # build_row's blocks per variable, from the last: (b, e, source
-        # budget, bit offset) places x_j**e times the source at the offset
-        # in budget b's row, for each e >= 1 (see build_row)
-        total = mode == "total"
-        cols = [1] * (k + 1 if total else 1)
-        self._plan = []
+        self.monomial = True  # the columns are monomials, see lagrange()
+        if mode == "each":
+            # the basis values, and the bit offset of column t of each
+            # variable's block, from the last variable
+            self._values, b = basis_values(field, cap, False), cap + 1
+            self._at = [[t * b ** j * width for t in range(b)] for j in range(m)]
+            return
+        # blocks per variable, from the last: (b, e, bit offset) places
+        # x_j**e times budget b - e's row in budget b's row
+        cols, self._plan = [1] * (k + 1), []
         for _ in range(m):
             blocks = []
-            for b in range(k, 0, -1) if total else (0,):
+            for b in range(k, 0, -1):
                 at = cols[b]
-                for e in range(1, min(cap, b) + 1 if total else cap + 1):
-                    src = b - e if total else 0
-                    blocks.append((b, e, src, at * width))
-                    at += cols[src]
+                for e in range(1, min(cap, b) + 1):
+                    blocks.append((b, e, at * width))
+                    at += cols[b - e]
                 cols[b] = at
             self._plan.append(blocks)
+
+    def lagrange(self) -> "_PackedSystem":
+        """Switch an "each"-mode system, before its first row, to the
+        Lagrange basis on the nodes 0..kcap (BasisValues).  The columns
+        change by an invertible tensor power of a Vandermonde matrix, so
+        ranks and forced terms stay; exponents() and solution() raise."""
+        if self.mode == "each":
+            self._values = basis_values(self.f, self.kcap, True)
+            self.monomial = False
+        return self
 
     def exponents(self, cols) -> list[tuple[int, ...]]:
         """The exponent vectors of the given columns.  In "each" mode
         column c's are the base-(kcap + 1) digits of c, the last variable
         fastest, so no other column is listed."""
+        if not self.monomial:
+            raise ValueError("a Lagrange-basis system has no monomial witness")
         if self.mode == "total":
             exps = monomial_exponents(self.m, self.k, self.mode, per_var=self.kcap)
             return [exps[c] for c in cols]
@@ -292,21 +315,34 @@ class _PackedSystem:
 
     def build_row(self, window, target: int) -> int:
         """The row of one equation, built from the last variable to the
-        first: the monomials led by x_j**e are x_j**e times those in the
-        later variables, and lex order lists them in blocks by e, so a
-        block is placed with one shift."""
+        first: the columns led by b_t(x_j) in "each" mode, or x_j**e in
+        "total" mode, are that value times those of the later variables,
+        and lex order lists them in blocks by t or e, so a block is placed
+        with one shift and one product per step of b(x_j)'s chain."""
         p, e, mod, times = self.p, self.e, self._mod, self._times
-        # level[b]: the row of the monomials in the later variables, in
-        # "total" mode those of total degree <= b; it is its own e = 0 block
-        level = [1] * (self.k + 1 if self.mode == "total" else 1)
+        if self.mode == "each":
+            level, values = 1, self._values
+            same = values.same  # the chain at every v != 0, if v alone varies
+            for v, at in zip(reversed(window), self._at):
+                if not v:  # b_0(0) = 1 and every other b_t(0) = 0
+                    continue
+                y, level = level, 0
+                for r, t in same or values[v]:  # y becomes b_t(v) * the later row
+                    r = r or v
+                    if r != 1:  # p > 2 or e > 1
+                        y = r * y if e == 1 else times(r, y)
+                        if p > 2:
+                            y = mod(y)
+                    level |= y << at[t]
+            return self.put(level, self.ncols, target)
+        # level[b]: the row of the monomials in the later variables of
+        # total degree <= b; it is its own e = 0 block
+        level = [1] * (self.k + 1)
         for v, blocks in zip(reversed(window), self._plan):
             if not v:  # every block after the e = 0 one is zero
                 continue
-            # "each" mode reads level[0] as it was before this variable;
-            # "total" mode reads budgets below b, not yet rewritten
-            base = level[0]
-            for b, d, src, at in blocks:
-                y = level[src] if src else base
+            for b, d, at in blocks:  # reads budgets below b, not yet rewritten
+                y = level[b - d]
                 a = v if d == 1 else self.f.pow(v, d)
                 if a != 1:  # p > 2 or e > 1
                     y = a * y if e == 1 else times(a, y)
@@ -380,6 +416,8 @@ class _PackedSystem:
         pivot row's dot product with the solution sums, over pairs of
         digits (i, j), x**i * x**j times their digit products mod p,
         counted by popcounts against bit masks of the solution."""
+        if not self.monomial:
+            raise ValueError("a Lagrange-basis system has no monomial witness")
         f, p, e, w = self.f, self.p, self.e, self.w
         nbits = (p - 1).bit_length()
         cross = [[f.mul(p ** i, p ** j) for j in range(e)] for i in range(e)]
@@ -404,154 +442,6 @@ class _PackedSystem:
                     if d >> u & 1:
                         masks[j][u] |= 1 << c * self._width
         return sol
-
-
-class _SpanLevel:
-    """Level j of a _SpanSystem: the candidate monomials in the first j + 1
-    variables, the basis picked among them, and each other candidate's
-    relation over the basis on the rows fed so far."""
-
-    def __init__(self):
-        self.mons: list[tuple[int, ...]] = []  # exponent vector per candidate
-        self.degs: list[int] = []
-        self.src: list[tuple[int, int]] = []  # (parent basis position, e)
-        self.rels: list[Optional[list[int]]] = []  # None for basis members
-        self.basis: list[int] = []  # candidate indices, in pivot order
-        self.pos: dict[int, int] = {}  # candidate index -> basis position
-        self.kids: list[list[Optional[int]]] = []  # parent position -> e -> candidate
-
-
-class _SpanSystem:
-    """Column-space system: decides whether the targets lie in the span of
-    the monomial columns without listing the monomials.
-
-    Level j keeps a basis of at most r monomial columns in the first j + 1
-    variables (r rows fed), picked from the candidates b * x_j**e with b in
-    level j - 1's basis, and every other candidate's relation over it.
-    Products of a spanning set with the powers of x_j span every monomial
-    in one more variable, so the last level spans all monomial columns.  A
-    row raises each level's rank by at most one, so it costs
-    O(m * (k + 1) * r**2) field operations.  The lowest-degree candidate
-    with a nonzero residual becomes the pivot, so a relation only uses
-    basis members of at most the candidate's degree; in "total" mode that
-    keeps every product needed by a new candidate's relation in range.
-    ncols is the most candidate columns the system holds for `rows` rows.
-    A row that add() rejects leaves the levels part-updated, so the system
-    is spent after add() returns False; every caller drops it then.
-    """
-
-    def __init__(self, field: Field, m: int, k: int, mode: str, rows: int):
-        self.f = field
-        self.m, self.k, self.mode = m, k, mode
-        self.kcap = min(k, field.q - 1)
-        self.ncols = m * (self.kcap + 1) * max(rows, 1)
-        self.levels = [_SpanLevel() for _ in range(m)]
-        # level 0 grows from the empty monomial, a fixed basis of one
-        self._grow(self.levels[0], (), 0, [])
-        self.target: list[int] = []  # the target's relation over the last basis
-
-    def _grow(self, lv: _SpanLevel, mon: tuple, deg: int, rel: list[int]):
-        """Add the candidates mon * x_j**e for a new parent basis member
-        whose relation over the parent basis was rel before it became a
-        pivot; each gets the relation that follows on the rows fed so far."""
-        f = self.f
-        add, mul = f.add, f.mul
-        parent = len(lv.kids)
-        kids: list[Optional[int]] = []
-        nb = len(lv.basis)
-        for e in range(self.kcap + 1):
-            if self.mode == "total" and deg + e > self.k:
-                kids.append(None)
-                continue
-            acc = [0] * nb
-            for i, a in enumerate(rel):
-                if not a:
-                    continue
-                c = lv.kids[i][e]
-                t = lv.pos.get(c)
-                if t is not None:
-                    acc[t] = add(acc[t], a)
-                else:
-                    for t, x in enumerate(lv.rels[c]):
-                        if x:
-                            acc[t] = add(acc[t], mul(a, x))
-            kids.append(len(lv.mons))
-            lv.mons.append(mon + (e,))
-            lv.degs.append(deg + e)
-            lv.src.append((parent, e))
-            lv.rels.append(acc)
-        lv.kids.append(kids)
-
-    def add(self, window, target: int) -> bool:
-        f = self.f
-        sub, mul, inv, pow_ = f.sub, f.mul, f.inv, f.pow
-        pvals = [1]  # values of the parent basis members on this row
-        last = self.m - 1
-        for j, lv in enumerate(self.levels):
-            w = window[j]
-            pw = [1] + [pow_(w, e) for e in range(1, self.kcap + 1)]
-            vals = [mul(pvals[i], pw[e]) for i, e in lv.src]
-            bvals = [vals[c] for c in lv.basis]
-            pivot = None
-            moved = []  # (candidate, residual) for every nonzero residual
-            for c, rel in enumerate(lv.rels):
-                if rel is None:
-                    continue
-                r = vals[c]
-                for a, v in zip(rel, bvals):
-                    if a and v:
-                        r = sub(r, mul(a, v))
-                if r:
-                    moved.append((c, r))
-                    if pivot is None or lv.degs[c] < lv.degs[pivot[0]]:
-                        pivot = (c, r)
-            if j == last:
-                r = target
-                for a, v in zip(self.target, bvals):
-                    if a and v:
-                        r = sub(r, mul(a, v))
-                if r:
-                    if pivot is None:
-                        return False
-                    moved.append((-1, r))
-            if pivot is None:
-                pvals = bvals
-                continue
-            p, rp = pivot
-            prel = lv.rels[p]
-            lv.rels[p] = None
-            irp = inv(rp)
-            for c, r in moved:
-                if c == p:
-                    continue
-                g = mul(r, irp)
-                rel = lv.rels[c] if c >= 0 else self.target
-                for t, a in enumerate(prel):
-                    if a:
-                        rel[t] = sub(rel[t], mul(g, a))
-                rel.append(g)
-            nb = len(lv.basis)
-            for rel in lv.rels:  # the new basis member is absent from the rest
-                if rel is not None and len(rel) == nb:
-                    rel.append(0)
-            if j == last and len(self.target) == nb:
-                self.target.append(0)
-            lv.pos[p] = nb
-            lv.basis.append(p)
-            bvals.append(vals[p])
-            if j < last:
-                self._grow(self.levels[j + 1], lv.mons[p], lv.degs[p], prel)
-            pvals = bvals
-        return True
-
-    def exponents(self, cols) -> list[tuple[int, ...]]:
-        """The monomials of the given positions of the last level's basis."""
-        lv = self.levels[-1]
-        return [lv.mons[lv.basis[c]] for c in cols]
-
-    def solution(self) -> list[int]:
-        """The target's coefficients over the last level's basis."""
-        return list(self.target)
 
 
 def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int,
@@ -619,7 +509,7 @@ def _affine_profile(field: Field, vals, cap: int) -> list[int]:
 
 
 def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
-            cap: int):
+            cap: int, witness: bool = False):
     """(profile, system): the complexity of every prefix of vals, and the
     system of the last length fed every row, or None where a window scan
     or Berlekamp-Massey decided (_full_function_space, affine maps), vals
@@ -630,6 +520,9 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
     grows one row at a time.  A length at which two equal windows of the
     prefix are followed by different terms builds no system.  The search
     stops before the first prefix whose complexity would exceed cap.
+    Packed "each"-mode systems decide in the Lagrange basis unless a
+    witness is wanted: then every system is a monomial one, so the last
+    gives the canonical witness.
     """
     if mode == "total" and k == 1:
         return _affine_profile(field, vals, cap), None
@@ -656,6 +549,8 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
             # degree fits, so no system is built for this m
             elif _windows_consistent(vals, idx + 1, m, {}):
                 system = _new_system(field, m, k, mode, max_monomials, len(vals) - m)
+                if not witness and isinstance(system, _PackedSystem):
+                    system.lagrange()
                 ok = _feed(system, vals, idx + 1, m)
         out.append(m)
     return out, system
@@ -674,7 +569,7 @@ def _complexity(s: Sequence, k: int, kind: str, max_monomials: int,
     mode = _MODES[kind]
     vals = s.values
     n = len(vals)
-    prof, system = _search(s.field, vals, k, mode, max_monomials, n)
+    prof, system = _search(s.field, vals, k, mode, max_monomials, n, want_witness)
     m = prof[-1]
     wit = None
     # no witness for the zero sequence, nor for one term (no equations)

@@ -434,3 +434,50 @@ def in_cyclic_subgroup(u: FieldElement, c: FieldElement) -> bool:
         raise ValueError("subgroup membership is defined for nonzero elements")
     d = u.field.order_of(u.val)
     return u.field.pow(c.val, d) == 1
+
+
+class BasisValues(dict):
+    """The values of a basis b_0..b_cap of the polynomials of degree <= cap
+    over a field, cap < q, as chains: basis[v] lists steps (r, t), one per
+    t with b_t(v) != 0, t increasing, where b_t(v) is r times the previous
+    step's value (times 1 at the first step) and r = 0 stands for v.
+
+    The monomial basis, b_t(x) = x**t, has the same chain (1, 0), (0, 1),
+    ..., (0, cap) at every v != 0, kept in `same`, so no state grows with
+    the elements seen.  The Lagrange basis on the nodes with encodings
+    0..cap, b_t(x) = prod_{u != t} (x - u) / (t - u), is 1 at node t and 0
+    at the other nodes; each element's chain is stored on its first
+    lookup, so at most q are.
+    """
+
+    def __init__(self, field: Field, cap: int, lagrange: bool):
+        super().__init__()
+        self.f, self.lagrange, self.nodes = field, lagrange, range(cap + 1)
+        powers = ((1, 0),) + tuple((0, t) for t in range(1, cap + 1))
+        self.same = None if lagrange else powers
+        # 1 / prod_{u != t} (t - u); a repeated node has no inverse
+        self._w = [field.inv(self._prod(t, t)) for t in self.nodes] if lagrange else []
+
+    def _prod(self, x: int, t: int) -> int:
+        """prod_{u != t} (x - u) over the nodes u."""
+        acc = 1
+        for u in self.nodes:
+            if u != t:
+                acc = self.f.mul(acc, self.f.sub(x, u))
+        return acc
+
+    def __missing__(self, v: int):
+        if not self.lagrange:
+            return self.same if v else ((1, 0),)
+        f, out, last = self.f, [], 1
+        for t, w in zip(self.nodes, self._w):  # node t is the element t
+            a = f.mul(w, self._prod(v, t))
+            if a:
+                out.append((f.mul(a, f.inv(last)), t))
+                last = a
+        self[v] = out = tuple(out)
+        return out
+
+
+# the BasisValues of a field, cap and basis, one per process
+basis_values = lru_cache(maxsize=None)(BasisValues)

@@ -96,6 +96,8 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
     the q terms fixes the same new pivot.  A child stores its pivot row
     (its window's term under the window scan) on the way down and an undo
     mark below its siblings deletes it, so one system serves the walk.
+    It decides in the Lagrange basis (_PackedSystem.lagrange): only
+    ranks and forced terms are read, and a change of basis keeps both.
 
     Mapping every term by x -> a*x + b maps the maps that fit onto maps
     that fit, f'(y) = a*f((y - b)/a) + b with no variable's degree raised,
@@ -110,7 +112,7 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
     if _full_function_space(field, k, "each"):
         system, store = None, {}
     else:
-        system = _PackedSystem(field, m, k, "each")
+        system = _PackedSystem(field, m, k, "each").lagrange()
         store, ncols = system.basis, system.ncols
         build, reduce, entry = system.build_row, system.reduce, system.entry
     terms = range(q - 1, -1, -1)

@@ -181,6 +181,10 @@ def test_count_pinned_and_reach_values():
     assert stats.exhaustive_count(3, 1, 9, 3).count == 12297
     assert stats.exhaustive_count(2, 1, 64, 2).count == 26
     assert stats.exhaustive_count(2, 1, 64, 4).count == 7882
+    # walks in the Lagrange basis over F_4 (char 2, e = 2) and F_5, and at k = 2
+    assert stats.exhaustive_count(4, 1, 7, 2).count == 2764
+    assert stats.exhaustive_count(5, 1, 6, 2).count == 10365
+    assert stats.exhaustive_count(3, 2, 8, 2).count == 1611
 
 
 def test_count_walk_needs_no_recursion():
