@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import complexity as cx
-from .finite_field import field_of_order, prime_power
+from .finite_field import check_field_order, field_of_order, prime_power
 from .generators import Sequence, inversive_finite, inversive_periodic
 from .hermitian import hermitian_sequence
 
@@ -48,11 +48,13 @@ def bound_periodic(n: int, k: int, d: int) -> Fraction:
 
 
 def _check_hermitian_args(n: int, k: int, ell: int) -> int:
+    q = ell * ell
+    if ell >= 2:  # as in HermitianCurve: the size before the trial division
+        check_field_order(q)
     if ell < 2 or prime_power(ell) is None:
         raise ValueError("l must be a prime power >= 2")
     if k < 1:
         raise ValueError("k must be >= 1")
-    q = ell * ell
     if not 1 <= n <= (q - 1) * (ell - 1):
         raise ValueError(f"n must lie in 1..{(q - 1) * (ell - 1)}")
     return q
@@ -86,14 +88,13 @@ class BoundCheck:
 
 
 def _profile_checks(seq: Sequence, theorem: str, k: int, kind: str,
-                    bound_fn, n_max: Optional[int], max_monomials: int,
-                    **ids) -> list[BoundCheck]:
+                    bound_fn, n_max: Optional[int], **ids) -> list[BoundCheck]:
     n_stop = len(seq) if n_max is None else min(n_max, len(seq))
     sub = seq.prefix(n_stop)
     if kind == "lin":
         prof = cx.linear_profile(sub)
     else:
-        prof = cx.profile(sub, k, kind, max_monomials=max_monomials)
+        prof = cx.profile(sub, k, kind)
     out = []
     for n in range(1, n_stop + 1):
         b = bound_fn(n)
@@ -109,15 +110,15 @@ def admissible_periods(q: int) -> list[int]:
     return [d for d in range(1, q - 1) if (q - 1) % d == 0]
 
 
-def _inversive_sequences(q, a, **_):
-    yield inversive_finite(field_of_order(q), a=a), {}
+def _inversive_sequences(q, **_):
+    yield inversive_finite(field_of_order(q)), {}
 
 
-def _periodic_sequences(q, d, b, c, periods, n_max, **_):
+def _periodic_sequences(q, d, periods, n_max, **_):
     field = field_of_order(q)
     for dd in (admissible_periods(q) if d is None else [d]):
         n_len = periods * dd if n_max is None else n_max
-        yield inversive_periodic(field, dd, n_len, b=b, c=c), {"d": dd}
+        yield inversive_periodic(field, dd, n_len), {"d": dd}
 
 
 def _hermitian_sequences(ell, allow_large, **_):
@@ -151,8 +152,7 @@ _CATALOG = {
 def verify(construction: str, *, q: Optional[int] = None,
            ell: Optional[int] = None, k_values=(1, 2),
            kinds: Optional[tuple] = None, d: Optional[int] = None,
-           b=1, c=None, a=1, periods: int = 3, n_max: Optional[int] = None,
-           max_monomials: int = cx.DEFAULT_MAX_MONOMIALS,
+           periods: int = 3, n_max: Optional[int] = None,
            allow_large: bool = False) -> list[BoundCheck]:
     """Sweep every prefix length and requested degree cap of one
     construction and compare exact complexities against the catalog
@@ -165,7 +165,7 @@ def verify(construction: str, *, q: Optional[int] = None,
     entry = _CATALOG.get(construction)
     if entry is None:
         raise ValueError(f"no bound catalog entry for construction {construction!r}")
-    params = dict(q=q, ell=ell, d=d, a=a, b=b, c=c, periods=periods, n_max=n_max,
+    params = dict(q=q, ell=ell, d=d, periods=periods, n_max=n_max,
                   allow_large=allow_large)
     if params[entry.param] is None:
         raise ValueError(f"{construction} verification needs {entry.param}")
@@ -182,7 +182,7 @@ def verify(construction: str, *, q: Optional[int] = None,
             for k in ((1,) if kind == "lin" else k_values):
                 checks += _profile_checks(
                     seq, f"{construction}-{kind}", k, kind,
-                    lambda n: bound(n, k, **ids), n_max, max_monomials, **ids)
+                    lambda n: bound(n, k, **ids), n_max, **ids)
     return checks
 
 

@@ -6,9 +6,12 @@ profile (Monte Carlo), hermitian (geometry dumps).  Exit codes: 0 for
 success with all checks passing, 1 when a bound check fails, 2 for
 usage, parameter and guard errors.
 
-Every output carries a reproducibility stanza (parameters, field
-description, tool version) as '#' comments in text formats or a "meta"
-object in JSON; JSON documents carry "schema": 1.
+Every command writes through _write.  A JSON document carries
+"schema": 1 and a "meta" object with the reproducibility stanza
+(parameters, field description, tool version); CSV and the other text
+outputs start with the same stanza as '#' comments.  A sequence file
+from gen carries it after its own header line, and analyze's one-line
+text format carries none.
 """
 
 from __future__ import annotations
@@ -17,13 +20,12 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__, bounds, stats
 from . import complexity as cx
-from .finite_field import check_field_order, make_field, prime_power
-from .generators import (Sequence, inversive_finite, inversive_periodic,
-                         random_sequence, read_sequence, sequence_to_text)
+from .finite_field import field_of_order, make_field
+from .generators import (inversive_finite, inversive_periodic, random_sequence,
+                         read_sequence, sequence_to_text)
 from .hermitian import HermitianCurve, apply_automorphism_to_h
 
 SCHEMA = 1
@@ -42,43 +44,54 @@ def _threads(args) -> int:
     return n
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _params(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items())
             if k not in ("func", "out", "format") and v is not None}
 
 
-def _stanza(args, field=None, **extra) -> list[str]:
+def _stanza(args, field=None) -> list[str]:
     lines = [f"nlcx {__version__}",
              "params " + " ".join(f"{k}={v}" for k, v in _params(args).items())]
     if field is not None:
         lines.append("field " + field.describe())
-    lines += [f"{k} {v}" for k, v in extra.items()]
     return lines
 
 
-def _meta(args, field=None, **extra) -> dict:
+def _meta(args, field=None) -> dict:
     meta = {"version": __version__, "params": _params(args)}
     if field is not None:
         meta["field"] = field.describe()
-    meta.update(extra)
     return meta
 
 
+def _write(args, doc, header, rows, field=None, notes=()) -> None:
+    """Write a command's output to --out or stdout.  With --format json
+    that is doc() after "schema", with "meta" added (in its place if the
+    document already holds the key).  Otherwise it is the stanza and notes
+    as '#' comments, then the header, if any, and the lines of rows; with
+    --format text it is the rows alone.  Only the form written is built:
+    doc is a function and rows may be a generator."""
+    fmt = getattr(args, "format", None)
+    if fmt == "json":
+        text = json.dumps({"schema": SCHEMA, **doc(), "meta": _meta(args, field)},
+                          indent=2)
+    elif fmt == "text":
+        text = "\n".join(rows)
+    else:
+        lines = [f"# {s}" for s in [*_stanza(args, field), *notes]]
+        text = "\n".join([*lines, *([header] if header else []), *rows])
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(text + "\n")
+    else:
+        sys.stdout.write(text + "\n")
+
+
 def _field_from_args(args):
-    q = args.q
-    check_field_order(q)
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"q={q} is not a prime power")
-    return make_field(*pp, primitive=getattr(args, "primitive", None))
+    field = field_of_order(args.q)
+    if args.primitive is None:
+        return field
+    return make_field(field.p, field.e, primitive=args.primitive)
 
 
 # -- gen ---------------------------------------------------------------------
@@ -110,22 +123,21 @@ def cmd_gen(args) -> int:
             seq = random_sequence(field, args.n, args.seed)
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(f"unknown kind {kind!r}")
-    _emit(args, sequence_to_text(seq, extra_comments=_stanza(args, field)))
+    # a sequence file is gen's text format, with the stanza after its header
+    text = sequence_to_text(seq, extra_comments=_stanza(args, field))
+    _write(args, None, None, text.splitlines())
     return 0
 
 
 # -- analyze -------------------------------------------------------------------
 
-def _analyze_one(seq: Sequence, kind: str, k, *, witness: bool):
-    if kind == "nk":
-        return cx.nonlinear_complexity(seq, k, witness=witness)
-    if kind == "lk":
-        return cx.total_degree_complexity(seq, k, witness=witness)
-    if kind == "lin":
-        return cx.linear_complexity(seq, witness=witness)
-    if kind == "moc":
-        return cx.max_order_complexity(seq, witness=witness)
-    raise ValueError(f"unknown analyzer kind {kind!r}")
+# kind -> (sequence, k, witness) -> ComplexityReport
+_ANALYZERS = {
+    "nk": lambda seq, k, witness: cx.nonlinear_complexity(seq, k, witness=witness),
+    "lk": lambda seq, k, witness: cx.total_degree_complexity(seq, k, witness=witness),
+    "lin": lambda seq, k, witness: cx.linear_complexity(seq, witness=witness),
+    "moc": lambda seq, k, witness: cx.max_order_complexity(seq, witness=witness),
+}
 
 
 def cmd_analyze(args) -> int:
@@ -135,30 +147,22 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"--k is required for kind {kind}")
     if args.profile:
         prof = cx.profile(seq, args.k, kind)
-        if args.format == "json":
-            doc = {"schema": SCHEMA, "kind": kind, "k": args.k,
-                   "profile": prof, "meta": _meta(args, seq.field)}
-            _emit(args, json.dumps(doc, indent=2) + "\n")
-        else:
-            lines = [f"# {s}" for s in _stanza(args, seq.field)]
-            lines.append("n,value")
-            lines += [f"{n},{v}" for n, v in enumerate(prof, start=1)]
-            _emit(args, "\n".join(lines) + "\n")
+        _write(args, lambda: {"kind": kind, "k": args.k, "profile": prof}, "n,value",
+               (f"{n},{v}" for n, v in enumerate(prof, start=1)), seq.field)
         return 0
-    rep = _analyze_one(seq, kind, args.k, witness=args.witness)
-    if args.format == "csv":
-        lines = [f"# {s}" for s in _stanza(args, seq.field)]
-        lines.append("kind,k,n,value")
-        lines.append(f"{rep.kind},{'' if rep.k is None else rep.k},{rep.n},{rep.value}")
-        _emit(args, "\n".join(lines) + "\n")
-    elif args.format == "text":
-        _emit(args, f"{rep.kind} complexity of n={rep.n} sequence: {rep.value}\n")
-    else:
-        doc = {"schema": SCHEMA, "kind": rep.kind, "k": rep.k, "n": rep.n,
-               "value": rep.value, "meta": _meta(args, seq.field)}
+    rep = _ANALYZERS[kind](seq, args.k, args.witness)
+
+    def doc():
+        out = {"kind": rep.kind, "k": rep.k, "n": rep.n, "value": rep.value, "meta": None}
         if args.witness and rep.witness is not None:
-            doc["witness"] = rep.witness.to_json()
-        _emit(args, json.dumps(doc, indent=2) + "\n")
+            out["witness"] = rep.witness.to_json()
+        return out
+
+    if args.format == "text":
+        row = f"{rep.kind} complexity of n={rep.n} sequence: {rep.value}"
+    else:
+        row = f"{rep.kind},{'' if rep.k is None else rep.k},{rep.n},{rep.value}"
+    _write(args, doc, "kind,k,n,value", [row], seq.field)
     return 0
 
 
@@ -172,23 +176,17 @@ def cmd_verify(args) -> int:
                            periods=args.periods, n_max=args.n_max,
                            allow_large=bool(args.allow_large))
     summary = bounds.summarize(checks)
-    if args.format == "json":
-        doc = {"schema": SCHEMA, "summary": summary, "meta": _meta(args),
-               "checks": [{
-                   "theorem": ch.theorem, "q": ch.q, "k": ch.k, "n": ch.n,
-                   "d": ch.d, "ell": ch.ell,
-                   "bound": [ch.bound.numerator, ch.bound.denominator],
-                   "computed": ch.computed, "pass": ch.passed,
-               } for ch in checks]}
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        lines = [f"# {s}" for s in _stanza(args)]
-        lines.append("theorem,n,k,bound_num,bound_den,computed,pass")
-        for ch in checks:
-            lines.append(f"{ch.theorem},{ch.n},{ch.k},{ch.bound.numerator},"
-                         f"{ch.bound.denominator},{ch.computed},"
-                         f"{str(ch.passed).lower()}")
-        _emit(args, "\n".join(lines) + "\n")
+
+    def doc():
+        return {"summary": summary, "meta": None, "checks": [{
+            "theorem": ch.theorem, "q": ch.q, "k": ch.k, "n": ch.n, "d": ch.d,
+            "ell": ch.ell, "bound": [ch.bound.numerator, ch.bound.denominator],
+            "computed": ch.computed, "pass": ch.passed} for ch in checks]}
+
+    rows = (f"{ch.theorem},{ch.n},{ch.k},{ch.bound.numerator},{ch.bound.denominator},"
+            f"{ch.computed},{str(ch.passed).lower()}" for ch in checks)
+    _write(args, doc, "theorem,n,k,bound_num,bound_den,computed,pass", rows)
+    if args.format != "json":
         print(json.dumps({"schema": SCHEMA, "summary": summary}), file=sys.stderr)
     return 0 if summary["all_passed"] else 1
 
@@ -198,17 +196,11 @@ def cmd_verify(args) -> int:
 def cmd_count(args) -> int:
     res = stats.exhaustive_count(args.q, args.k, args.n, args.m,
                                  threads=_threads(args))
-    if args.format == "json":
-        doc = {"schema": SCHEMA, "meta": _meta(args),
-               "q": res.q, "k": res.k, "n": res.n, "m": res.m,
-               "count": res.count, "bound": res.bound, "pass": res.passed}
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        lines = [f"# {s}" for s in _stanza(args)]
-        lines.append("q,k,n,m,count,bound,pass")
-        lines.append(f"{res.q},{res.k},{res.n},{res.m},{res.count},{res.bound},"
-                     f"{str(res.passed).lower()}")
-        _emit(args, "\n".join(lines) + "\n")
+    _write(args, lambda: {"meta": None, "q": res.q, "k": res.k, "n": res.n, "m": res.m,
+                          "count": res.count, "bound": res.bound, "pass": res.passed},
+           "q,k,n,m,count,bound,pass",
+           [f"{res.q},{res.k},{res.n},{res.m},{res.count},{res.bound},"
+            f"{str(res.passed).lower()}"])
     return 0 if res.passed else 1
 
 
@@ -233,25 +225,18 @@ def cmd_profile(args) -> int:
     ps = stats.monte_carlo_profile(args.q, args.k, grid, args.samples,
                                    args.seed, threads=_threads(args))
     slope = stats.empirical_constant(ps) if len(ps.grid) >= 3 else None
-    if args.format == "json":
-        doc = {"schema": SCHEMA, "meta": _meta(args),
-               "q": ps.q, "k": ps.k, "samples": ps.samples, "seed": ps.seed,
-               "empirical_slope": slope,
-               "rows": [{
-                   "n": r.n, "mean": r.mean, "min": r.vmin, "max": r.vmax,
-                   "p05": r.p05, "p50": r.p50, "p95": r.p95, "ref": r.ref,
-                   "below1": r.below1, "below2": r.below2,
-               } for r in ps.rows]}
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        lines = [f"# {s}" for s in _stanza(args)]
-        if slope is not None:
-            lines.append(f"# empirical_slope {slope:.6f}")
-        lines.append("n,mean,min,max,p05,p50,p95,ref")
-        for r in ps.rows:
-            lines.append(f"{r.n},{r.mean:.4f},{r.vmin},{r.vmax},"
-                         f"{r.p05},{r.p50},{r.p95},{r.ref:.4f}")
-        _emit(args, "\n".join(lines) + "\n")
+
+    def doc():
+        return {"meta": None, "q": ps.q, "k": ps.k, "samples": ps.samples,
+                "seed": ps.seed, "empirical_slope": slope, "rows": [{
+                    "n": r.n, "mean": r.mean, "min": r.vmin, "max": r.vmax,
+                    "p05": r.p05, "p50": r.p50, "p95": r.p95, "ref": r.ref,
+                    "below1": r.below1, "below2": r.below2} for r in ps.rows]}
+
+    rows = (f"{r.n},{r.mean:.4f},{r.vmin},{r.vmax},{r.p05},{r.p50},{r.p95},{r.ref:.4f}"
+            for r in ps.rows)
+    notes = [] if slope is None else [f"empirical_slope {slope:.6f}"]
+    _write(args, doc, "n,mean,min,max,p05,p50,p95,ref", rows, notes=notes)
     return 0
 
 
@@ -259,7 +244,7 @@ def cmd_profile(args) -> int:
 
 def cmd_hermitian(args) -> int:
     curve = HermitianCurve(args.ell, allow_large=args.allow_large)
-    lines = [f"# {s}" for s in _stanza(args, curve.field)]
+    lines = []
     if args.dump == "points":
         for P in curve.points():
             lines.append("inf" if P.is_infinity else f"{P.x} {P.y}")
@@ -280,7 +265,7 @@ def cmd_hermitian(args) -> int:
         if args.t:
             ht = apply_automorphism_to_h(h, args.t)
             lines.append(f"phi^{args.t} h = {ht}")
-    _emit(args, "\n".join(lines) + "\n")
+    _write(args, None, None, lines, curve.field)
     return 0
 
 
@@ -316,11 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the canonical primitive element (encoding)")
     g.add_argument("--allow-large", action="store_true")
     common(g)
-    g.set_defaults(func=cmd_gen)
+    g.set_defaults(func=cmd_gen, format="text")
 
     a = sub.add_parser("analyze", help="complexity of a sequence file")
     a.add_argument("--in", dest="infile", required=True)
-    a.add_argument("--kind", required=True, choices=["nk", "lk", "lin", "moc"])
+    a.add_argument("--kind", required=True, choices=list(_ANALYZERS))
     a.add_argument("--k", type=int)
     a.add_argument("--profile", action="store_true",
                    help="per-prefix profile instead of a single value")
@@ -384,8 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "format", None) is None and hasattr(args, "format"):
-        args.format = "csv" if getattr(args, "profile", False) else "json"
+    if getattr(args, "profile", False) and args.format != "json":
+        args.format = "csv"  # analyze: a profile has no one-line text form
+    elif getattr(args, "format", "") is None:
+        args.format = "json"
     try:
         return args.func(args)
     except cx.GuardExceeded as exc:

@@ -14,11 +14,11 @@ are supported: degree at most k in every variable separately ("each"),
 and total degree at most k ("total").  Linear complexity is computed by
 Berlekamp-Massey.
 
-Which basis: with no witness wanted, "each"-mode elimination runs in the
-Lagrange basis on the nodes 0..kcap (finite_field.BasisValues), where a
-term at a node fills one column of its block.  That keeps the column
-span, so every value, profile and count is the one the monomials give.
-A witness search builds monomial systems throughout.
+Which basis: fixed when a system is built.  With no witness wanted,
+"each"-mode elimination runs in the Lagrange basis on the nodes 0..kcap
+(finite_field.BasisValues), where a term at a node fills one column of
+its block.  That keeps the column span, so every value, profile and count
+is the one the monomials give.  A witness search builds monomials only.
 
 Total degree 1 needs no system at all.  An affine map
 s_{i+m} = c + sum_j a_j s_{i+j} fits N terms exactly when the first
@@ -192,13 +192,23 @@ class _PackedSystem:
     Each pivot row b is stored with its multiples x**i * b, i < e, so that
     clearing a column whose digits are d_i adds sum_i (p - d_i) * x**i * b:
     F_p work only, with no field multiplication.
+
+    The constructor refuses more than max_monomials columns before it
+    builds anything, and fixes the basis: with lagrange, an "each"-mode
+    system's columns are the Lagrange basis on the nodes 0..kcap, an
+    invertible tensor power of a Vandermonde matrix away from the
+    monomials, so ranks and forced terms stay but there is no witness.
     """
 
-    def __init__(self, field: Field, m: int, k: int, mode: str):
+    def __init__(self, field: Field, m: int, k: int, mode: str,
+                 lagrange: bool = False, max_monomials: int = DEFAULT_MAX_MONOMIALS):
         self.f = field
         self.m, self.k, self.mode = m, k, mode
         self.kcap = cap = min(k, field.q - 1)
         self.ncols = monomial_count(m, k, mode, per_var=cap)
+        if self.ncols > max_monomials:
+            raise GuardExceeded("monomial set", self.ncols, max_monomials)
+        self.monomial = not (lagrange and mode == "each")
         # pivot column -> the pivot row b and its multiples, [x**i * b for i < e]
         self.basis: dict[int, list[int]] = {}
         self.p, self.e = p, e = field.p, field.e
@@ -213,11 +223,13 @@ class _PackedSystem:
         self._top = cells * self._slot << width - w  # the top slot of every cell
         # x**e = -sum_j m_j x**j, m the field's modulus, as a cell
         self._fold = sum(-c % p << j * w for j, c in enumerate(field.modulus[:-1]))
-        self.monomial = True  # the columns are monomials, see lagrange()
         if mode == "each":
-            # the basis values, and the bit offset of column t of each
-            # variable's block, from the last variable
-            self._values, b = basis_values(field, cap, False), cap + 1
+            # b_t(v) as steps (r, t), see BasisValues: per v in the Lagrange
+            # basis, the monomials' (1, 0), (0, 1), ..., (0, cap) at every v != 0
+            b, lag = cap + 1, not self.monomial
+            self._values = basis_values(field, cap) if lag else None
+            self._same = None if lag else ((1, 0),) + tuple((0, t) for t in range(1, b))
+            # the bit offset of column t of each variable's block, from the last
             self._at = [[t * b ** j * width for t in range(b)] for j in range(m)]
             return
         # blocks per variable, from the last: (b, e, bit offset) places
@@ -232,16 +244,6 @@ class _PackedSystem:
                     at += cols[b - e]
                 cols[b] = at
             self._plan.append(blocks)
-
-    def lagrange(self) -> "_PackedSystem":
-        """Switch an "each"-mode system, before its first row, to the
-        Lagrange basis on the nodes 0..kcap (BasisValues).  The columns
-        change by an invertible tensor power of a Vandermonde matrix, so
-        ranks and forced terms stay; exponents() and solution() raise."""
-        if self.mode == "each":
-            self._values = basis_values(self.f, self.kcap, True)
-            self.monomial = False
-        return self
 
     def exponents(self, cols) -> list[tuple[int, ...]]:
         """The exponent vectors of the given columns.  In "each" mode
@@ -321,8 +323,7 @@ class _PackedSystem:
         with one shift and one product per step of b(x_j)'s chain."""
         p, e, mod, times = self.p, self.e, self._mod, self._times
         if self.mode == "each":
-            level, values = 1, self._values
-            same = values.same  # the chain at every v != 0, if v alone varies
+            level, values, same = 1, self._values, self._same
             for v, at in zip(reversed(window), self._at):
                 if not v:  # b_0(0) = 1 and every other b_t(0) = 0
                     continue
@@ -445,14 +446,14 @@ class _PackedSystem:
 
 
 def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int,
-                rows: int):
+                rows: int, lagrange: bool = False):
     """The solver system for length-m maps fed at most `rows` rows: a span
     system (q > 2) when the monomials outnumber its candidate columns and
-    also cost more, else the monomial system; max_monomials bounds the
-    columns built.  A packed monomial column is w * e bits of each row, so
-    it is priced in 64-bit words against one word per span candidate; the
-    span system is also used wherever the monomials alone pass
-    max_monomials."""
+    also cost more, else the packed system, in the Lagrange basis if
+    lagrange; max_monomials bounds the columns built.  A packed monomial
+    column is w * e bits of each row, so it is priced in 64-bit words
+    against one word per span candidate; the span system is also used
+    wherever the monomials alone pass max_monomials."""
     q = field.q
     ncols = monomial_count(m, k, mode, per_var=q - 1)
     held = m * (min(k, q - 1) + 1) * max(rows, 1)
@@ -461,9 +462,7 @@ def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int,
         if held > max_monomials:
             raise GuardExceeded("span candidate columns", held, max_monomials)
         return _SpanSystem(field, m, k, mode, rows)
-    if ncols > max_monomials:
-        raise GuardExceeded("monomial set", ncols, max_monomials)
-    return _PackedSystem(field, m, k, mode)
+    return _PackedSystem(field, m, k, mode, lagrange, max_monomials)
 
 
 def _feed(system, vals, n: int, m: int) -> bool:
@@ -520,7 +519,7 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
     grows one row at a time.  A length at which two equal windows of the
     prefix are followed by different terms builds no system.  The search
     stops before the first prefix whose complexity would exceed cap.
-    Packed "each"-mode systems decide in the Lagrange basis unless a
+    Packed "each"-mode systems are built in the Lagrange basis unless a
     witness is wanted: then every system is a monomial one, so the last
     gives the canonical witness.
     """
@@ -548,9 +547,8 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
             # equal windows followed by different terms: no map of any
             # degree fits, so no system is built for this m
             elif _windows_consistent(vals, idx + 1, m, {}):
-                system = _new_system(field, m, k, mode, max_monomials, len(vals) - m)
-                if not witness and isinstance(system, _PackedSystem):
-                    system.lagrange()
+                system = _new_system(field, m, k, mode, max_monomials, len(vals) - m,
+                                     not witness)
                 ok = _feed(system, vals, idx + 1, m)
         out.append(m)
     return out, system
@@ -575,7 +573,7 @@ def _complexity(s: Sequence, k: int, kind: str, max_monomials: int,
     # no witness for the zero sequence, nor for one term (no equations)
     if want_witness and 0 < m < n:
         if system is None:  # decided by a window scan or Berlekamp-Massey
-            system = _new_system(s.field, m, k, mode, max_monomials, n - m)
+            system = _new_system(s.field, m, k, mode, max_monomials, n - m, False)
             _feed(system, vals, n, m)
         wit = _witness_from(system, m, k, mode)
     return ComplexityReport(kind, k, n, m, wit)

@@ -437,26 +437,21 @@ def in_cyclic_subgroup(u: FieldElement, c: FieldElement) -> bool:
 
 
 class BasisValues(dict):
-    """The values of a basis b_0..b_cap of the polynomials of degree <= cap
-    over a field, cap < q, as chains: basis[v] lists steps (r, t), one per
-    t with b_t(v) != 0, t increasing, where b_t(v) is r times the previous
-    step's value (times 1 at the first step) and r = 0 stands for v.
-
-    The monomial basis, b_t(x) = x**t, has the same chain (1, 0), (0, 1),
-    ..., (0, cap) at every v != 0, kept in `same`, so no state grows with
-    the elements seen.  The Lagrange basis on the nodes with encodings
-    0..cap, b_t(x) = prod_{u != t} (x - u) / (t - u), is 1 at node t and 0
-    at the other nodes; each element's chain is stored on its first
-    lookup, so at most q are.
+    """The values of the Lagrange basis on the nodes with encodings 0..cap,
+    b_t(x) = prod_{u != t} (x - u) / (t - u), cap < q, as chains: basis[v]
+    lists steps (r, t), one per t with b_t(v) != 0, t increasing, where
+    b_t(v) is r times the previous step's value (times 1 at the first
+    step) and r = 0 stands for v.  b_t is 1 at node t and 0 at the other
+    nodes.  Each element's chain is stored on its first lookup, so at most
+    q are.  (The monomial basis, b_t(x) = x**t, has the same chain (1, 0),
+    (0, 1), ..., (0, cap) at every v != 0; a packed system keeps it.)
     """
 
-    def __init__(self, field: Field, cap: int, lagrange: bool):
+    def __init__(self, field: Field, cap: int):
         super().__init__()
-        self.f, self.lagrange, self.nodes = field, lagrange, range(cap + 1)
-        powers = ((1, 0),) + tuple((0, t) for t in range(1, cap + 1))
-        self.same = None if lagrange else powers
+        self.f, self.nodes = field, range(cap + 1)
         # 1 / prod_{u != t} (t - u); a repeated node has no inverse
-        self._w = [field.inv(self._prod(t, t)) for t in self.nodes] if lagrange else []
+        self._w = [field.inv(self._prod(t, t)) for t in self.nodes]
 
     def _prod(self, x: int, t: int) -> int:
         """prod_{u != t} (x - u) over the nodes u."""
@@ -467,8 +462,6 @@ class BasisValues(dict):
         return acc
 
     def __missing__(self, v: int):
-        if not self.lagrange:
-            return self.same if v else ((1, 0),)
         f, out, last = self.f, [], 1
         for t, w in zip(self.nodes, self._w):  # node t is the element t
             a = f.mul(w, self._prod(v, t))
@@ -479,5 +472,5 @@ class BasisValues(dict):
         return out
 
 
-# the BasisValues of a field, cap and basis, one per process
+# the BasisValues of a field and cap, one per process
 basis_values = lru_cache(maxsize=None)(BasisValues)

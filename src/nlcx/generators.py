@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, field as dataclass_field
 from typing import Any
 
-from .finite_field import Field, FieldElement, field_of_order, in_cyclic_subgroup
+from .finite_field import Field, FieldElement, field_of_order
 
 _MASK64 = (1 << 64) - 1
 

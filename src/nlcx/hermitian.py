@@ -243,18 +243,12 @@ class HermitianCurve:
                                       q_orbit_index=0, other_points=others)
         return self._orbits
 
-    def construct_h(self, Q: Optional[CurvePoint] = None) -> PoleFunction:
-        """Pole function for Q (default: the canonical orbit-table Q)."""
+    def construct_h(self) -> PoleFunction:
+        """Pole function for the canonical orbit-table Q, built once."""
+        if self._h is not None:
+            return self._h
         f, ell = self.field, self.ell
-        if Q is None:
-            if self._h is not None:
-                return self._h
-            Q = self.orbits().q_point
-        if Q.is_infinity or Q.x == 0:
-            raise ValueError("Q must be an affine point with x != 0")
-        if not self.on_curve(Q):
-            raise ValueError("Q does not lie on the curve")
-        a, b = Q
+        a, b = self.orbits().q_point
         rhs = f.pow(a, ell + 1)
         roots = [y for y in range(f.q) if f.add(f.pow(y, ell), y) == rhs]
         if len(roots) != ell or b not in roots:
@@ -263,8 +257,7 @@ class HermitianCurve:
                          cofactor_roots=tuple(r for r in sorted(roots) if r != b))
         if h.valuation_at_infinity() != -(2 * self.genus - 1):
             raise AssertionError("pole order at infinity disagrees with 2g-1")
-        if Q == self.orbits().q_point:
-            self._h = h
+        self._h = h
         return h
 
     def sequence(self) -> Sequence:

@@ -2,9 +2,10 @@
 
 exhaustive_count counts the length-n sequences over F_q whose
 per-variable-cap complexity is at most m by walking the tree of their
-prefixes with one length-m feedback system, from one first window per
-orbit of the affine maps x -> a*x + b, and checks the count against
-the closed form q^((k+1)^m + m).  monte_carlo_profile draws
+prefixes with one length-m feedback system, built in the Lagrange basis
+and under the column guard, from one first window per orbit of the
+affine maps x -> a*x + b, and checks the count against the closed form
+q^((k+1)^m + m).  monte_carlo_profile draws
 seeded random sequences, computes their complexity profiles and
 aggregates per-length statistics against the reference curve
 ref = log(n)/log(k+1).  That curve is a lower-tail reference: the
@@ -22,7 +23,7 @@ import sys
 from dataclasses import dataclass
 
 from .complexity import (DEFAULT_MAX_MONOMIALS, GuardExceeded, _PackedSystem,
-                         _full_function_space, monomial_count, profile)
+                         _full_function_space, profile)
 from .finite_field import field_of_order
 from .generators import child_seed, random_sequence
 
@@ -96,8 +97,9 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
     the q terms fixes the same new pivot.  A child stores its pivot row
     (its window's term under the window scan) on the way down and an undo
     mark below its siblings deletes it, so one system serves the walk.
-    It decides in the Lagrange basis (_PackedSystem.lagrange): only
-    ranks and forced terms are read, and a change of basis keeps both.
+    That system is built in the Lagrange basis, since only ranks and
+    forced terms are read and a change of basis keeps both, and under
+    DEFAULT_MAX_MONOMIALS, so its column guard trips before the walk.
 
     Mapping every term by x -> a*x + b maps the maps that fit onto maps
     that fit, f'(y) = a*f((y - b)/a) + b with no variable's degree raised,
@@ -112,7 +114,7 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
     if _full_function_space(field, k, "each"):
         system, store = None, {}
     else:
-        system = _PackedSystem(field, m, k, "each").lagrange()
+        system = _PackedSystem(field, m, k, "each", True, DEFAULT_MAX_MONOMIALS)
         store, ncols = system.basis, system.ncols
         build, reduce, entry = system.build_row, system.reduce, system.entry
     terms = range(q - 1, -1, -1)
@@ -215,9 +217,10 @@ def exhaustive_count(q: int, k: int, n: int, m: int, *,
     nodes, the roots and the all-zero path, and that is checked before any
     work, with m >= n - 1 counted as n - 1 since every sequence has
     complexity <= n - 1.  So is the printed length of the bound
-    (_counting_bound).
+    (_counting_bound).  The walk's system refuses more than
+    DEFAULT_MAX_MONOMIALS columns when it is built.
     """
-    field = field_of_order(q)  # validates q
+    field_of_order(q)  # validates q
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 1:
@@ -234,10 +237,6 @@ def exhaustive_count(q: int, k: int, n: int, m: int, *,
     elif m >= n - 1:
         count = q ** n
     else:
-        if not _full_function_space(field, k, "each"):
-            ncols = monomial_count(m, k, "each", per_var=q - 1)
-            if ncols > DEFAULT_MAX_MONOMIALS:
-                raise GuardExceeded("monomial set", ncols, DEFAULT_MAX_MONOMIALS)
         parts = _sharded(_walk, (q, k, n, m, max_sequences), q ** m, threads)
         nodes = sum(part[1] for part in parts)
         if nodes > max_sequences:

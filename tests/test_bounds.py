@@ -51,6 +51,21 @@ def test_bound_argument_validation():
         B.bound_hermitian_N(1, 1, 6)  # ell not a prime power
 
 
+def test_hermitian_bound_size_checked_before_factoring(monkeypatch):
+    from test_finite_field import forbid_factoring_above_max
+    forbid_factoring_above_max(monkeypatch)
+    for bound in (B.bound_hermitian_N, B.bound_hermitian_L):
+        # l**2 past the field limit is refused before ell is factored
+        for ell in (257, 10 ** 14 + 31, 10 ** 16 + 61):
+            with pytest.raises(ValueError, match="exceeds the supported maximum 65536"):
+                bound(1, 1, ell)
+        # up to l = 256 the messages are as before
+        for ell in (-3, 0, 1, 6, 255):
+            with pytest.raises(ValueError, match="l must be a prime power >= 2"):
+                bound(1, 1, ell)
+        assert bound(255 * 65535, 1, 256) > 0
+
+
 def test_admissible_periods():
     assert B.admissible_periods(7) == [1, 2, 3]
     assert B.admissible_periods(9) == [1, 2, 4]

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import nlcx
+import nlcx.stats as stats
 from nlcx.cli import main
+from nlcx.complexity import profile
 from nlcx.generators import read_sequence
 
 
@@ -134,6 +136,43 @@ def test_analyze_profile(tmp_path, capsys):
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
+def test_analyze_profile_json(tmp_path, capsys):
+    p = tmp_path / "s.seq"
+    run(capsys, "gen", "--kind", "random", "--q", "3", "--n", "12",
+        "--seed", "2", "-o", str(p))
+    argv = ("analyze", "--in", str(p), "--kind", "nk", "--k", "1", "--profile")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert list(doc) == ["schema", "kind", "k", "profile", "meta"]
+    assert (doc["schema"], doc["kind"], doc["k"]) == (1, "nk", 1)
+    assert doc["profile"] == profile(read_sequence(str(p)), 1, "nk")
+    assert doc["meta"]["field"].startswith("q=3")
+    assert doc["meta"]["params"]["profile"] is True
+    # the CSV rows carry the same profile; a profile has no one-line text
+    # form, so --format text gives the CSV
+    _, csv_out, _ = run(capsys, *argv)
+    rows = [ln for ln in csv_out.splitlines() if not ln.startswith("#")]
+    assert rows == ["n,value"] + [f"{n},{v}" for n, v in enumerate(doc["profile"], 1)]
+    assert run(capsys, *argv, "--format", "text")[1] == csv_out
+
+
+def test_json_documents_keep_their_key_order(tmp_path, capsys):
+    p = tmp_path / "s.seq"
+    run(capsys, "gen", "--kind", "inversive", "--q", "7", "-o", str(p))
+    _, out, _ = run(capsys, "analyze", "--in", str(p), "--kind", "nk", "--k", "1",
+                    "--witness")
+    assert list(json.loads(out)) == ["schema", "kind", "k", "n", "value", "meta",
+                                     "witness"]
+    _, out, _ = run(capsys, "verify", "--construction", "inversive", "--q", "7",
+                    "--format", "json")
+    assert list(json.loads(out)) == ["schema", "summary", "meta", "checks"]
+    _, out, _ = run(capsys, "profile", "--q", "2", "--k", "1", "--nmax", "8",
+                    "--samples", "5", "--seed", "1", "--format", "json")
+    assert list(json.loads(out)) == ["schema", "meta", "q", "k", "samples", "seed",
+                                     "empirical_slope", "rows"]
+
+
 def test_analyze_requires_k(tmp_path, capsys):
     p = tmp_path / "s.seq"
     run(capsys, "gen", "--kind", "inversive", "--q", "7", "-o", str(p))
@@ -206,6 +245,20 @@ def test_count_csv(capsys):
     assert code == 0
     rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
     assert rows == ["q,k,n,m,count,bound,pass", "2,1,3,1,6,8,true"]
+
+
+def test_count_json(capsys):
+    code, out, err = run(capsys, "count", "--q", "3", "--k", "1", "--n", "5",
+                         "--m", "2", "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert list(doc) == ["schema", "meta", "q", "k", "n", "m", "count", "bound", "pass"]
+    assert doc["schema"] == 1
+    assert doc["meta"]["params"] == {"command": "count", "k": 1, "m": 2, "n": 5, "q": 3}
+    assert "field" not in doc["meta"]
+    res = stats.exhaustive_count(3, 1, 5, 2)
+    assert (doc["q"], doc["k"], doc["n"], doc["m"]) == (3, 1, 5, 2)
+    assert (doc["count"], doc["bound"], doc["pass"]) == (res.count, res.bound, True)
 
 
 def test_count_guard_exit_2(capsys):

@@ -10,6 +10,7 @@ witnesses use, and on the count walk.  The basis values themselves are
 checked against their definition.
 """
 
+import itertools
 import random
 
 import pytest
@@ -52,22 +53,55 @@ def test_lagrange_values_interpolate_on_the_nodes():
     for q in FIELDS:
         f = field_of_order(q)
         for cap in caps(q):
-            lag, mono = basis_values(f, cap, True), basis_values(f, cap, False)
+            lag = basis_values(f, cap)
+            mono = cx._PackedSystem(f, 1, cap, "each")._same  # at every v != 0
             nodes = range(cap + 1)
             for u in nodes:  # L_t(u) = 1 if t = u else 0
                 want = [int(t == u) for t in nodes]
                 assert values_at(f, lag, u, cap) == want, (q, cap)
             for v in range(q):
                 L = values_at(f, lag, v, cap)
-                assert values_at(f, mono, v, cap) == [f.pow(v, j) for j in nodes]
+                if v:
+                    assert values_at(f, {v: mono}, v, cap) == [f.pow(v, j) for j in nodes]
                 for j in nodes:  # sum_t L_t(v) * t**j = v**j
                     acc = 0
                     for t in nodes:
                         acc = f.add(acc, f.mul(L[t], f.pow(t, j)))
                     assert acc == f.pow(v, j), (q, cap, v, j)
-            # the Lagrange values are stored as they are read, the monomial
-            # ones never are
-            assert len(lag) == q and len(mono) == 0
+            # the Lagrange values are stored as they are read, and a
+            # Lagrange system keeps no monomial chain
+            assert len(lag) == q
+            assert cx._PackedSystem(f, 1, cap, "each", True)._same is None
+
+
+def test_lagrange_rows_hold_the_lagrange_values():
+    # column (t_0, ..., t_{m-1}) of an "each"-mode Lagrange row holds
+    # prod_j b_{t_j}(v_j), b_t(x) = prod_{u != t} (x - u) / (t - u) over the
+    # nodes u = 0..kcap; so a window of nodes alone is a unit row
+    for q, k, m in ((3, 1, 3), (4, 1, 3), (5, 2, 2), (7, 3, 2), (9, 2, 2), (8, 2, 2)):
+        f = field_of_order(q)
+        system = cx._PackedSystem(f, m, k, "each", True)
+        cap = system.kcap
+        nodes = range(cap + 1)
+
+        def b(t, x):
+            acc = 1
+            for u in nodes:
+                if u != t:
+                    acc = f.mul(acc, f.mul(f.sub(x, u), f.inv(f.sub(t, u))))
+            return acc
+
+        cols = list(itertools.product(nodes, repeat=m))  # lex, last fastest
+        assert len(cols) == system.ncols
+        for window in itertools.product(range(q), repeat=m):
+            row = system.build_row(list(window), 0)
+            for c, ts in enumerate(cols):
+                want = 1
+                for t, v in zip(ts, window):
+                    want = f.mul(want, b(t, v))
+                assert system.entry(row, c) == want, (q, k, window, ts)
+            if max(window) <= cap:
+                assert row == system.put(0, cols.index(window), 1), (q, window)
 
 
 def rows_agree(f, vals, k, m):
@@ -75,7 +109,7 @@ def rows_agree(f, vals, k, m):
     m; before each row, the row with target 0 must be dependent in both
     or in neither, with the same forced term, and then both must accept
     or reject it and reach the same rank."""
-    lag = cx._PackedSystem(f, m, k, "each").lagrange()
+    lag = cx._PackedSystem(f, m, k, "each", True)
     mono = cx._PackedSystem(f, m, k, "each")
     assert mono.monomial and not lag.monomial
     for i in range(len(vals) - m):
@@ -140,7 +174,8 @@ def test_count_walk_agrees_with_the_monomial_walk(monkeypatch):
     sets = [(3, 1, 9, 3), (4, 1, 7, 2), (5, 1, 6, 2), (3, 2, 8, 2), (7, 1, 5, 2),
             (8, 2, 5, 2), (9, 1, 5, 2)]
     got = {s: stats._walk(*s, 10 ** 9, 0, s[0] ** s[3]) for s in sets}
-    monkeypatch.setattr(cx._PackedSystem, "lagrange", lambda self: self)
+    monkeypatch.setattr(stats, "_PackedSystem", lambda field, m, k, mode, lagrange, limit:
+                        cx._PackedSystem(field, m, k, mode, False, limit))
     for s in sets:
         assert stats._walk(*s, 10 ** 9, 0, s[0] ** s[3]) == got[s], s
 
@@ -148,7 +183,7 @@ def test_count_walk_agrees_with_the_monomial_walk(monkeypatch):
 def test_lagrange_system_gives_no_witness():
     f = field_of_order(5)
     vals = random_sequence(f, 12, 3).values
-    system = cx._PackedSystem(f, 2, 1, "each").lagrange()
+    system = cx._PackedSystem(f, 2, 1, "each", True)
     cx._feed(system, vals, len(vals), 2)
     with pytest.raises(ValueError):
         system.solution()
@@ -157,7 +192,7 @@ def test_lagrange_system_gives_no_witness():
     with pytest.raises(ValueError):
         cx._witness_from(system, 2, 1, "each")
     # "total" mode keeps its monomials
-    total = cx._PackedSystem(f, 2, 2, "total").lagrange()
+    total = cx._PackedSystem(f, 2, 2, "total", True)
     assert total.monomial
     assert total.exponents(range(total.ncols)) == cx.monomial_exponents(2, 2, "total")
 

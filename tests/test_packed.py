@@ -14,6 +14,8 @@ import itertools
 import random
 import tracemalloc
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -273,3 +275,25 @@ def test_large_fields_build_rows_and_allocate_no_field_sized_table():
 
         peak = traced_peak(packed_only)
         assert peak < q, (q, peak)
+
+
+def test_column_guard_trips_before_any_row_layout():
+    # 2**21 columns of F_3: each layout mask of 6-bit cells would take
+    # 1.5 MB, so the constructor must refuse before it builds one
+    f = field_of_order(3)
+    errors = []
+
+    def build():
+        for lagrange in (False, True):
+            try:
+                cx._PackedSystem(f, 21, 1, "each", lagrange, cx.DEFAULT_MAX_MONOMIALS)
+            except cx.GuardExceeded as err:
+                errors.append((err.what, err.size, err.limit))
+
+    assert traced_peak(build) < 64 * 1024
+    assert errors == [("monomial set", 2 ** 21, 2 ** 20)] * 2
+    # the guard is inclusive, in both modes
+    assert cx._PackedSystem(f, 3, 2, "total", False, 10).ncols == 10
+    with pytest.raises(cx.GuardExceeded, match="monomial set: size 10 exceeds guard 9"):
+        cx._PackedSystem(f, 3, 2, "total", False, 9)
+    assert cx._PackedSystem(f, 3, 2, "each", True, 27).ncols == 27

@@ -159,7 +159,13 @@ def test_new_system_rule_keeps_packed_and_guards(monkeypatch):
     # span systems are picked by pricing a packed column in 64-bit words;
     # every system the rule counting columns alone made packed stays
     # packed, and exactly the same guards trip, with the same sizes
-    monkeypatch.setattr(cx, "_PackedSystem", lambda *args: "packed")
+    packed = cx._PackedSystem
+
+    def built(*args):  # the real constructor, which holds the column guard
+        packed(*args)
+        return "packed"
+
+    monkeypatch.setattr(cx, "_PackedSystem", built)
     monkeypatch.setattr(cx, "_SpanSystem", lambda *args: "span")
     moved = 0
     for q in (3, 4, 5, 9, 25, 29, 49):
@@ -199,8 +205,8 @@ def test_packed_choice_matches_span_systems(q, count, monkeypatch):
     picked = []
     new_system = cx._new_system
 
-    def recording(field, m, k, mode, limit, rows):
-        system = new_system(field, m, k, mode, limit, rows)
+    def recording(field, m, k, mode, limit, rows, lagrange):
+        system = new_system(field, m, k, mode, limit, rows, lagrange)
         picked.append(isinstance(system, cx._PackedSystem) and
                       system.ncols > m * (min(k, q - 1) + 1) * rows)
         return system
@@ -212,7 +218,7 @@ def test_packed_choice_matches_span_systems(q, count, monkeypatch):
         assert rep.witness.replay(field, s.values, 96) == s.values
         got.append((cx.profile(s, k, "nk"), rep.value))
     assert any(picked)  # some packed system holds more columns than a span one
-    monkeypatch.setattr(cx, "_new_system", lambda field, m, k, mode, limit, rows:
+    monkeypatch.setattr(cx, "_new_system", lambda field, m, k, mode, limit, rows, lagrange:
                         cx._SpanSystem(field, m, k, mode, rows))
     for (s, k), (prof, value) in zip(cases, got):
         assert cx.profile(s, k, "nk") == prof and prof[-1] == value

@@ -206,6 +206,30 @@ def test_count_guard():
         stats.exhaustive_count(2, 1, 10 ** 9, 2)
 
 
+def test_count_column_guard_trips_when_the_walk_builds_its_system(monkeypatch):
+    # The bound's exponent (k+1)^m + m is at least the column count, so at
+    # the default int-to-str limit the digit guard trips first; with the
+    # bound out of the way the walk's own system refuses 2**21 columns
+    # when it is built, before any mask or root (roots are stubbed out, so
+    # a walk without the guard ends at once instead of running for hours)
+    from test_packed import traced_peak
+    monkeypatch.setattr(stats, "_counting_bound", lambda q, k, m: 0)
+    monkeypatch.setattr(stats, "_orbit_roots", lambda *args: iter(()))
+    walks, walk = [], stats._walk
+    monkeypatch.setattr(stats, "_walk", lambda *args: walks.append(args) or walk(*args))
+    errors = []
+
+    def count():
+        try:
+            stats.exhaustive_count(3, 1, 23, 21, max_sequences=3 ** 22)
+        except cx.GuardExceeded as err:
+            errors.append((err.what, err.size, err.limit))
+
+    assert traced_peak(count) < 64 * 1024
+    assert errors == [("monomial set", 2 ** 21, 2 ** 20)]
+    assert len(walks) == 1
+
+
 def test_count_thread_invariance():
     for args in ((2, 1, 8, 2), (3, 1, 9, 3)):
         a = stats.exhaustive_count(*args, threads=1)
