@@ -19,17 +19,22 @@ bound of 0 when n < q - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import complexity as cx
 from .finite_field import check_field_order, field_of_order, prime_power
 from .generators import Sequence, inversive_finite, inversive_periodic
 from .hermitian import hermitian_sequence
 
+if TYPE_CHECKING:
+    # each bound imports Fraction itself: fractions pulls in decimal, an
+    # import that count, profile and every other non-verify start-up
+    # would otherwise pay for
+    from fractions import Fraction
+
 
 def bound_inversive(n: int, k: int) -> Fraction:
+    from fractions import Fraction
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 1:
@@ -38,6 +43,7 @@ def bound_inversive(n: int, k: int) -> Fraction:
 
 
 def bound_periodic(n: int, k: int, d: int) -> Fraction:
+    from fractions import Fraction
     if n < 1:
         raise ValueError("n must be >= 1")
     if k < 1:
@@ -61,6 +67,7 @@ def _check_hermitian_args(n: int, k: int, ell: int) -> int:
 
 
 def bound_hermitian_N(n: int, k: int, ell: int) -> Fraction:
+    from fractions import Fraction
     q = _check_hermitian_args(n, k, ell)
     r = n // (q - 1)
     if r == 0:
@@ -69,13 +76,13 @@ def bound_hermitian_N(n: int, k: int, ell: int) -> Fraction:
 
 
 def bound_hermitian_L(n: int, k: int, ell: int) -> Fraction:
+    from fractions import Fraction
     q = _check_hermitian_args(n, k, ell)
     r = n // (q - 1)
     return Fraction((q - 1) * r - (ell * ell - ell - 1) * k - 1, k + r)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     theorem: str
     q: int
     k: int
@@ -125,8 +132,7 @@ def _hermitian_sequences(ell, allow_large, **_):
     yield hermitian_sequence(ell, allow_large=allow_large), {"ell": ell}
 
 
-@dataclass(frozen=True)
-class _Construction:
+class _Construction(NamedTuple):
     param: str  # the parameter verify requires
     label: str  # the name in error messages
     kinds: tuple  # default kinds

@@ -17,7 +17,6 @@ text format carries none.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -73,6 +72,7 @@ def _write(args, doc, header, rows, field=None, notes=()) -> None:
     doc is a function and rows may be a generator."""
     fmt = getattr(args, "format", None)
     if fmt == "json":
+        import json  # here, not at the top: only JSON output needs it
         text = json.dumps({"schema": SCHEMA, **doc(), "meta": _meta(args, field)},
                           indent=2)
     elif fmt == "text":
@@ -187,6 +187,7 @@ def cmd_verify(args) -> int:
             f"{ch.computed},{str(ch.passed).lower()}" for ch in checks)
     _write(args, doc, "theorem,n,k,bound_num,bound_den,computed,pass", rows)
     if args.format != "json":
+        import json
         print(json.dumps({"schema": SCHEMA, "summary": summary}), file=sys.stderr)
     return 0 if summary["all_passed"] else 1
 

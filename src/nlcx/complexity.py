@@ -40,9 +40,8 @@ n - m terms, one per basis column.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .finite_field import Field, basis_values
 from .generators import Sequence
@@ -108,8 +107,7 @@ def monomial_exponents(m: int, k: int, mode: str,
     return out
 
 
-@dataclass(frozen=True)
-class FeedbackPolynomial:
+class FeedbackPolynomial(NamedTuple):
     """A feedback map in m variables; coeffs maps exponent vectors to
     nonzero coefficient encodings."""
 
@@ -148,8 +146,7 @@ class FeedbackPolynomial:
         }
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(NamedTuple):
     kind: str  # "nk" | "lk" | "lin" | "moc"
     k: Optional[int]
     n: int

@@ -10,8 +10,8 @@ it, and round-trips through a plain text format.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field as dataclass_field
-from typing import Any
+import os
+from typing import Any, Optional
 
 from .finite_field import Field, FieldElement, field_of_order
 
@@ -48,19 +48,31 @@ def child_seed(seed: int, index: int) -> int:
     return splitmix64_mix((seed ^ index) & _MASK64)
 
 
-@dataclass
 class Sequence:
-    """A finite sequence over one field.  values are integer encodings."""
+    """A finite sequence over one field.  values are integer encodings.
 
-    field: Field
-    values: list[int]
-    provenance: dict[str, Any] = dataclass_field(default_factory=dict)
+    Not a tuple like the result records: len, iteration and indexing run
+    over values.  Mutable, equal by value and so unhashable."""
 
-    def __post_init__(self):
-        q = self.field.q
-        for v in self.values:
+    def __init__(self, field: Field, values: list[int],
+                 provenance: Optional[dict[str, Any]] = None):
+        q = field.q
+        for v in values:
             if not 0 <= v < q:
                 raise ValueError(f"value {v} out of range for q={q}")
+        self.field = field
+        self.values = values
+        self.provenance = {} if provenance is None else provenance
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.field, self.values, self.provenance)
+                == (other.field, other.values, other.provenance))
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(field={self.field!r}, "
+                f"values={self.values!r}, provenance={self.provenance!r})")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -212,7 +224,7 @@ def _format_params(prov: dict) -> str:
 
 def write_sequence(seq: Sequence, fp, extra_comments=()) -> None:
     """Write seq to a file object or path in the plain text format."""
-    own = isinstance(fp, (str, bytes))
+    own = isinstance(fp, (str, bytes, os.PathLike))
     f = open(fp, "w") if own else fp
     try:
         kind = seq.provenance.get("kind", "unknown")
@@ -235,7 +247,7 @@ def _parse_scalar(s: str):
 
 def read_sequence(fp) -> Sequence:
     """Parse the text format back into a Sequence (canonical field for its q)."""
-    own = isinstance(fp, (str, bytes))
+    own = isinstance(fp, (str, bytes, os.PathLike))
     f = open(fp) if own else fp
     try:
         header = None

@@ -16,7 +16,6 @@ holds exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .finite_field import Field, check_field_order, make_field, prime_power
@@ -68,8 +67,7 @@ def valuation_at_infinity(field: Field, ell: int, terms: dict) -> int:
     return -max(i * ell + j * (ell + 1) for (i, j) in terms)
 
 
-@dataclass(frozen=True)
-class PoleFunction:
+class PoleFunction(NamedTuple):
     """scale * (y - r_2)...(y - r_l) / (x - a), the r_i being the other
     roots of z^l + z = a^(l+1) besides b.  Simple pole at Q = (a, b), pole
     of order 2g - 1 at infinity, finite everywhere else."""
@@ -143,8 +141,7 @@ class PoleFunction:
         return s
 
 
-@dataclass(frozen=True)
-class OrbitTable:
+class OrbitTable(NamedTuple):
     """The l automorphism orbits of size q - 1 (x != 0), ordered by their
     lexicographically smallest point; each orbit is listed in iteration
     order P, phi(P), phi^2(P), ...  Orbit 0 starts at the canonical Q.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexity import (DEFAULT_MAX_MONOMIALS, GuardExceeded, _PackedSystem,
                          _full_function_space, profile)
@@ -30,8 +30,7 @@ from .generators import child_seed, random_sequence
 DEFAULT_MAX_SEQUENCES = 1 << 22
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     q: int
     k: int
     n: int
@@ -246,8 +245,7 @@ def exhaustive_count(q: int, k: int, n: int, m: int, *,
                        passed=count <= bound)
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
     n: int
     mean: float
     vmin: int
@@ -260,8 +258,7 @@ class ProfileRow:
     below2: float  # fraction of samples under ref - 2
 
 
-@dataclass(frozen=True)
-class ProfileStats:
+class ProfileStats(NamedTuple):
     q: int
     k: int
     samples: int

@@ -142,6 +142,14 @@ def test_file_round_trip(tmp_path):
     assert t.provenance == s.provenance
 
 
+def test_file_round_trip_through_a_path_object(tmp_path):
+    s = inversive_periodic(field_of_order(7), 3, 9)
+    p = tmp_path / "seq.txt"
+    write_sequence(s, p)
+    assert p.read_text() == sequence_to_text(s)
+    assert read_sequence(p) == s
+
+
 def test_read_rejects_headerless_input():
     with pytest.raises(ValueError):
         read_sequence(io.StringIO("1\n2\n"))

@@ -1,4 +1,5 @@
-"""Every name a module of src/nlcx imports is used in that module.
+"""Every name a module of src/nlcx imports is used in that module, and
+starting the CLI imports no module that only some commands need.
 
 A stdlib ast scan: a name counts as used where it is read anywhere in the
 module, also inside a quoted annotation.  The package's __init__ (its
@@ -6,6 +7,9 @@ names are re-exports) and `from __future__` imports are exempt.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "nlcx"
@@ -53,3 +57,28 @@ def test_no_unused_imports_in_the_package():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert found and not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+# imported on first use only: dataclasses and inspect by nothing in the
+# package, fractions (with decimal) by the bounds, json by JSON output,
+# concurrent.futures and multiprocessing by more than one worker
+FIRST_USE_ONLY = {"dataclasses", "inspect", "fractions", "decimal", "json",
+                  "concurrent.futures", "multiprocessing"}
+
+
+def _modules_after(code: str) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+                          "print('\\n'.join(sys.modules))"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_cli_start_up_imports_nothing_it_may_not_need():
+    # against a bare interpreter's modules: site may preload some of these
+    bare = _modules_after("")
+    started = _modules_after("import nlcx, nlcx.cli\n"
+                             "from nlcx.finite_field import field_of_order\n"
+                             "field_of_order(25)")
+    assert "nlcx.cli" in started
+    assert sorted((started - bare) & FIRST_USE_ONLY) == []
