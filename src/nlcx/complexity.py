@@ -43,7 +43,7 @@ import itertools
 from math import comb
 from typing import NamedTuple, Optional
 
-from .finite_field import Field, basis_values
+from .finite_field import Field, PackedVectors, _slot_rule, basis_values
 from .generators import Sequence
 from .span import _SpanSystem
 
@@ -160,30 +160,11 @@ class ComplexityReport(NamedTuple):
 # grow systems incrementally; add() returns False at the first row that
 # makes the system inconsistent.
 
-def _slot_rule(p: int, e: int) -> tuple[int, int, int]:
-    """(w, magic, shift) of packed rows over F_(p**e).  At p = 2 a slot is
-    one bit and addition is xor.  Otherwise a slot holds a digit plus e
-    products of two digits before it is reduced, at most top; then
-    x - p * ((x * magic) >> shift) is x mod p for every x <= top, since
-    top * (magic * p - 2**shift) < 2**shift, and w fits x * magic."""
-    if p == 2:
-        return 1, 0, 0
-    top = (p - 1) * (1 + e * (p - 1))
-    shift = (top * (p - 1)).bit_length()
-    magic = -(-(1 << shift) // p)
-    return (top * magic).bit_length(), magic, shift
-
-
-class _PackedSystem:
+class _PackedSystem(PackedVectors):
     """Monomial system on packed rows, for every field.
 
-    A row is one int with a cell of e * w bits per column over F_(p**e):
-    column c's at bit c * e * w, the augmented entry's in cell ncols, and
-    base-p digit i of the entry in the w-bit slot at bit i * w of the cell.
-    Integer multiples of rows add slot by slot, and one multiply-shift
-    reduces every slot mod p at once (see _slot_rule); at p = 2 a slot is
-    one bit, a cell is the entry's encoding and adding is xor.  Every
-    scalar product is a sum of digit multiples of x**i * row (_powers).
+    A row is a packed vector (PackedVectors) with one cell per column, the
+    augmented entry's in cell ncols, whose slots hold e products.
     A row is eliminated against the pivot rows in column order and stored
     scaled to 1 at its pivot, so the pivots are the lex-first columns.
     Each pivot row b is stored with its multiples x**i * b, i < e, so that
@@ -208,18 +189,8 @@ class _PackedSystem:
         self.monomial = not (lagrange and mode == "each")
         # pivot column -> the pivot row b and its multiples, [x**i * b for i < e]
         self.basis: dict[int, list[int]] = {}
-        self.p, self.e = p, e = field.p, field.e
-        w, magic, shift = _slot_rule(p, e)
-        self.w, self._magic, self._shift = w, magic, shift
-        self._slot = (1 << w) - 1
-        self._width = width = e * w  # bits per cell
-        self._cell = (1 << width) - 1
-        # bit 0 of every cell, then the low w - shift bits of every slot
-        cells = ((1 << (self.ncols + 1) * width) - 1) // self._cell
-        self._low = cells * (self._cell // self._slot * ((1 << w - shift) - 1))
-        self._top = cells * self._slot << width - w  # the top slot of every cell
-        # x**e = -sum_j m_j x**j, m the field's modulus, as a cell
-        self._fold = sum(-c % p << j * w for j, c in enumerate(field.modulus[:-1]))
+        super().__init__(field, self.ncols + 1, field.e)
+        width = self._width
         if mode == "each":
             # b_t(v) as steps (r, t), see BasisValues: per v in the Lagrange
             # basis, the monomials' (1, 0), (0, 1), ..., (0, cap) at every v != 0
@@ -254,63 +225,6 @@ class _PackedSystem:
         b = self.kcap + 1
         place = [b ** j for j in range(self.m - 1, -1, -1)]
         return [tuple(c // v % b for v in place) for c in cols]
-
-    def _mod(self, x: int) -> int:
-        return x - self.p * ((x * self._magic >> self._shift) & self._low)
-
-    def _powers(self, row: int) -> list[int]:
-        """[row, x * row, ..., x**(e - 1) * row] for a reduced row: x moves
-        each digit up one slot of its cell, and the digit d leaving the top
-        comes back as d * x**e in the slots of the same cell."""
-        out, w, top = [row], self.w, self._top
-        up = (self.e - 1) * w
-        for _ in range(1, self.e):
-            t = row & top
-            x = (t >> up) * self._fold  # no product leaves its cell's slots
-            row = (row ^ t) << w
-            row = row ^ x if self.p == 2 else self._mod(row + x)
-            out.append(row)
-        return out
-
-    def _times(self, a: int, row: int) -> int:
-        """a * row, sum_i a_i * x**i * row over a's base-p digits a_i; at
-        odd p each slot is left unreduced, a sum of at most e products."""
-        if self.e == 1:
-            return a * row
-        p, out = self.p, 0
-        for y in self._powers(row):
-            a, d = divmod(a, p)
-            if d:
-                out = out ^ y if p == 2 else out + d * y
-        return out
-
-    def axpy(self, row: int, a: int, b: int) -> int:
-        """row + a * b."""
-        x = self._times(a, b)
-        return row ^ x if self.p == 2 else self._mod(row + x)
-
-    def scaled(self, row: int, a: int) -> int:
-        """a * row, a nonzero."""
-        return row if a == 1 else self.axpy(0, a, row)
-
-    def entry(self, row: int, c: int) -> int:
-        """The field element in column c of row."""
-        v = row >> c * self._width & self._cell
-        if self.p == 2 or self.e == 1:  # the cell is the encoding
-            return v
-        p, w, slot = self.p, self.w, self._slot
-        return sum((v >> i * w & slot) * p ** i for i in range(self.e))
-
-    def put(self, row: int, c: int, v: int) -> int:
-        """row with v in column c."""
-        at = c * self._width
-        if self.p > 2 and self.e > 1:  # spread v's digits over the slots
-            p, w, cell = self.p, self.w, 0
-            for i in range(self.e):
-                v, d = divmod(v, p)
-                cell |= d << i * w
-            v = cell
-        return row & ~(self._cell << at) | v << at
 
     def build_row(self, window, target: int) -> int:
         """The row of one equation, built from the last variable to the

@@ -436,6 +436,107 @@ def in_cyclic_subgroup(u: FieldElement, c: FieldElement) -> bool:
     return u.field.pow(c.val, d) == 1
 
 
+# ---------------------------------------------------------------------------
+# packed vectors
+
+def _slot_rule(p: int, products: int) -> tuple[int, int, int]:
+    """(w, magic, shift) of packed vectors over F_(p**e) whose slots hold a
+    digit plus `products` products of two digits before they are reduced.
+    At p = 2 a slot is one bit and addition is xor.  Otherwise a slot's
+    value before reduction is at most top; then
+    x - p * ((x * magic) >> shift) is x mod p for every x <= top, since
+    top * (magic * p - 2**shift) < 2**shift, and w fits x * magic."""
+    if p == 2:
+        return 1, 0, 0
+    top = (p - 1) * (1 + products * (p - 1))
+    shift = (top * (p - 1)).bit_length()
+    magic = -(-(1 << shift) // p)
+    return (top * magic).bit_length(), magic, shift
+
+
+class PackedVectors:
+    """Vectors over F_(p**e) packed into ints: entry c of a vector is the
+    cell of e * w bits at bit c * e * w, and base-p digit i of the entry is
+    the w-bit slot at bit i * w of the cell.  Integer multiples of vectors
+    add slot by slot, and one multiply-shift reduces every slot mod p at
+    once (_mod, see _slot_rule), so a slot may hold `products` products of
+    two digits between reductions; at p = 2 a slot is one bit, a cell is
+    the entry's encoding and adding is xor.  Every scalar product is a sum
+    of digit multiples of x**i * vector (_powers).  The masks cover the
+    first `cells` cells."""
+
+    def __init__(self, field: Field, cells: int, products: int):
+        self.p, self.e = p, e = field.p, field.e
+        w, magic, shift = _slot_rule(p, products)
+        self.w, self._magic, self._shift = w, magic, shift
+        self._slot = (1 << w) - 1
+        self._width = width = e * w  # bits per cell
+        self._cell = (1 << width) - 1
+        # bit 0 of every cell, then the low w - shift bits of every slot
+        ones = ((1 << cells * width) - 1) // self._cell
+        self._low = ones * (self._cell // self._slot * ((1 << w - shift) - 1))
+        self._top = ones * self._slot << width - w  # the top slot of every cell
+        # x**e = -sum_j m_j x**j, m the field's modulus, as a cell
+        self._fold = sum(-c % p << j * w for j, c in enumerate(field.modulus[:-1]))
+
+    def _mod(self, x: int) -> int:
+        return x - self.p * ((x * self._magic >> self._shift) & self._low)
+
+    def _powers(self, row: int) -> list[int]:
+        """[row, x * row, ..., x**(e - 1) * row] for a reduced row: x moves
+        each digit up one slot of its cell, and the digit d leaving the top
+        comes back as d * x**e in the slots of the same cell."""
+        out, w, top = [row], self.w, self._top
+        up = (self.e - 1) * w
+        for _ in range(1, self.e):
+            t = row & top
+            x = (t >> up) * self._fold  # no product leaves its cell's slots
+            row = (row ^ t) << w
+            row = row ^ x if self.p == 2 else self._mod(row + x)
+            out.append(row)
+        return out
+
+    def _times(self, a: int, row: int) -> int:
+        """a * row, sum_i a_i * x**i * row over a's base-p digits a_i; at
+        odd p each slot is left unreduced, a sum of at most e products."""
+        if self.e == 1:
+            return a * row
+        p, out = self.p, 0
+        for y in self._powers(row):
+            a, d = divmod(a, p)
+            if d:
+                out = out ^ y if p == 2 else out + d * y
+        return out
+
+    def axpy(self, row: int, a: int, b: int) -> int:
+        """row + a * b."""
+        x = self._times(a, b)
+        return row ^ x if self.p == 2 else self._mod(row + x)
+
+    def scaled(self, row: int, a: int) -> int:
+        """a * row, a nonzero."""
+        return row if a == 1 else self.axpy(0, a, row)
+
+    def entry(self, row: int, c: int) -> int:
+        """The field element in column c of row."""
+        v = row >> c * self._width & self._cell
+        if self.p == 2 or self.e == 1:  # the cell is the encoding
+            return v
+        p, w, slot = self.p, self.w, self._slot
+        return sum((v >> i * w & slot) * p ** i for i in range(self.e))
+
+    def put(self, row: int, c: int, v: int) -> int:
+        """row with v in column c."""
+        at = c * self._width
+        if self.p > 2 and self.e > 1:  # spread v's digits over the slots
+            p, w, cell = self.p, self.w, 0
+            for i in range(self.e):
+                v, d = divmod(v, p)
+                cell |= d << i * w
+            v = cell
+        return row & ~(self._cell << at) | v << at
+
+
 class BasisValues(dict):
     """The values of the Lagrange basis on the nodes with encodings 0..cap,
     b_t(x) = prod_{u != t} (x - u) / (t - u), cap < q, as chains: basis[v]
