@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul, xor
 
 MAX_FIELD_ORDER = 1 << 16
 
@@ -468,7 +469,7 @@ class PackedVectors:
     def __init__(self, field: Field, cells: int, products: int):
         self.p, self.e = p, e = field.p, field.e
         w, magic, shift = _slot_rule(p, products)
-        self.w, self._magic, self._shift = w, magic, shift
+        self.w, self._magic, self._shift, self._products = w, magic, shift, products
         self._slot = (1 << w) - 1
         self._width = width = e * w  # bits per cell
         self._cell = (1 << width) - 1
@@ -476,19 +477,20 @@ class PackedVectors:
         ones = ((1 << cells * width) - 1) // self._cell
         self._low = ones * (self._cell // self._slot * ((1 << w - shift) - 1))
         self._top = ones * self._slot << width - w  # the top slot of every cell
+        self._digit = ones * self._slot  # the bottom slot of every cell
         # x**e = -sum_j m_j x**j, m the field's modulus, as a cell
         self._fold = sum(-c % p << j * w for j, c in enumerate(field.modulus[:-1]))
 
     def _mod(self, x: int) -> int:
         return x - self.p * ((x * self._magic >> self._shift) & self._low)
 
-    def _powers(self, row: int) -> list[int]:
-        """[row, x * row, ..., x**(e - 1) * row] for a reduced row: x moves
-        each digit up one slot of its cell, and the digit d leaving the top
-        comes back as d * x**e in the slots of the same cell."""
+    def _powers(self, row: int, n: int = 0) -> list[int]:
+        """[row, x * row, ..., x**(n - 1) * row], n = e by default, for a
+        reduced row: x moves each digit up one slot of its cell, and the
+        digit d leaving the top comes back as d * x**e in the same cell."""
         out, w, top = [row], self.w, self._top
         up = (self.e - 1) * w
-        for _ in range(1, self.e):
+        for _ in range(1, n or self.e):
             t = row & top
             x = (t >> up) * self._fold  # no product leaves its cell's slots
             row = (row ^ t) << w
@@ -535,6 +537,42 @@ class PackedVectors:
                 cell |= d << i * w
             v = cell
         return row & ~(self._cell << at) | v << at
+
+    def combine(self, coeffs, vecs) -> int:
+        """sum a * v over the cells a and the reduced vectors v, by Horner's
+        rule in x over the digits of the a: each digit's products add up as
+        integers, reduced every `products` terms."""
+        p, e, w, n, mod = self.p, self.e, self.w, self._products, self._mod
+        if e == 1 and p > 2 and len(coeffs) <= n:
+            return mod(sum(map(mul, coeffs, vecs)))
+        acc = 0
+        for i in range(e - 1, -1, -1):
+            if acc:
+                acc = self._powers(acc, 2)[1]  # x * acc
+            digits = coeffs if e == 1 else [a >> i * w & self._slot for a in coeffs]
+            if p == 2:
+                acc ^= reduce(xor, itertools.compress(vecs, digits), 0)
+            else:
+                for at in range(0, len(digits), n):
+                    acc = mod(acc + sum(map(mul, digits[at:at + n], vecs[at:at + n])))
+        return acc
+
+    def muladd(self, vecs, coeffs, b: int) -> list[int]:
+        """[v + a * b] over the reduced vectors v and a, where a * b is the
+        product of packed ints whose cells each meet in a cell of their
+        own, as when a is one cell: digit i of a's cells times x**i * b."""
+        p = self.p
+        if self.e == 1:
+            if p == 2:
+                return [v ^ a * b for v, a in zip(vecs, coeffs)]
+            magic, shift, low = self._magic, self._shift, self._low  # _mod, inline
+            return [(x := v + a * b) - p * ((x * magic >> shift) & low) if a else v
+                    for v, a in zip(vecs, coeffs)]
+        bs, shifts = self._powers(b), range(0, self._width, self.w)
+        split = [a and [a >> s & self._digit for s in shifts] for a in coeffs]
+        if p == 2:
+            return [reduce(xor, map(mul, ds, bs), v) if ds else v for v, ds in zip(vecs, split)]
+        return [self._mod(v + sum(map(mul, ds, bs))) if ds else v for v, ds in zip(vecs, split)]
 
 
 class BasisValues(dict):

@@ -8,147 +8,134 @@ cost more; every other system is a packed monomial one.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import repeat
+from operator import and_, lshift, or_, rshift
 
-from .finite_field import Field
+from .finite_field import Field, PackedVectors
 
 
 class _SpanLevel:
-    """Level j of a _SpanSystem: the candidate monomials in the first j + 1
-    variables, the basis picked among them, and each other candidate's
-    relation over the basis on the rows fed so far."""
+    """Level j of a _SpanSystem.  Candidate K * i + e is b_i * x_j**e,
+    K = kcap + 1 and b_i the member at basis position i of level j - 1.
+    Each candidate's relation over the basis is kept in packed vectors
+    twice: coefficient t of candidate c's is in cell c + 1 of cols[t], and
+    of candidate K * i + e's in cell K * t + e of blocks[i].  Cell 0 of
+    cols[t] is the target's, at the last level."""
 
     def __init__(self):
-        self.mons: list[tuple[int, ...]] = []  # exponent vector per candidate
-        self.degs: list[int] = []
-        self.src: list[tuple[int, int]] = []  # (parent basis position, e)
-        self.rels: list[Optional[list[int]]] = []  # None for basis members
+        self.mons, self.degs = [], []  # per candidate: exponent vector, degree
+        self.cols, self.blocks = [], []  # packed relations, as above
         self.basis: list[int] = []  # candidate indices, in pivot order
-        self.pos: dict[int, int] = {}  # candidate index -> basis position
-        self.kids: list[list[Optional[int]]] = []  # parent position -> e -> candidate
+        self.free: dict[int, int] = {}  # degree -> cells of its candidates not in the basis
 
 
-class _SpanSystem:
+class _SpanSystem(PackedVectors):
     """Column-space system: decides whether the targets lie in the span of
     the monomial columns without listing the monomials.
 
     Level j keeps a basis of at most r monomial columns in the first j + 1
     variables (r rows fed), picked from the candidates b * x_j**e with b in
-    level j - 1's basis, and every other candidate's relation over it.
-    Products of a spanning set with the powers of x_j span every monomial
-    in one more variable, so the last level spans all monomial columns.  A
-    row raises each level's rank by at most one, so it costs
-    O(m * (k + 1) * r**2) field operations.  The lowest-degree candidate
-    with a nonzero residual becomes the pivot, so a relation only uses
-    basis members of at most the candidate's degree; in "total" mode that
-    keeps every product needed by a new candidate's relation in range.
+    level j - 1's basis, and every candidate's relation over it on the
+    rows fed so far.  Products of a spanning set with the powers of x_j
+    span every monomial in one more variable, so the last level spans all
+    monomial columns.  The lowest-degree candidate with a nonzero residual
+    becomes the pivot, the first in candidate order among those, so a
+    relation only uses basis members of at most the candidate's degree; in
+    "total" mode that keeps every product needed by a new candidate's
+    relation in range, and a candidate over the cap is never a pivot and
+    holds values that no other reads.  A row costs O(m * r) operations on
+    packed vectors of at most (k + 1) * r cells (combine and muladd, one
+    per col or block).  Below 64 rows a slot holds 64 products, so each
+    combine reduces once; above, 8, which keeps the vectors narrower.
     ncols is the most candidate columns the system holds for `rows` rows.
-    A row that add() rejects leaves the levels part-updated, so the system
-    is spent after add() returns False; every caller drops it then.
+    It takes no more rows, nor any after add() returns False, since the
+    rejected row has updated some levels.
     """
 
     def __init__(self, field: Field, m: int, k: int, mode: str, rows: int):
         self.f = field
         self.m, self.k, self.mode = m, k, mode
         self.kcap = min(k, field.q - 1)
-        self.ncols = m * (self.kcap + 1) * max(rows, 1)
+        K = self.kcap + 1
+        self.rows = rows = max(rows, 1)
+        self.ncols = m * K * rows
+        self.fed = 0  # rows fed, None after a rejected one
+        super().__init__(field, K * rows + 1, max(field.e, 64 if rows < 64 else 8))
+        self._at = [c * self._width for c in range(K * rows + 1)]  # cell offsets
+        self._chunk = (1 << K * self._width) - 1  # K cells
+        self._units = ((1 << K * rows * self._width) - 1) // self._chunk * self._cell  # cell K*t
+        self._powers_of: dict[int, int] = {}  # v -> v**e in cell e
         self.levels = [_SpanLevel() for _ in range(m)]
         # level 0 grows from the empty monomial, a fixed basis of one
-        self._grow(self.levels[0], (), 0, [])
-        self.target: list[int] = []  # the target's relation over the last basis
+        self._grow(self.levels[0], 0, (), 0, [])
 
-    def _grow(self, lv: _SpanLevel, mon: tuple, deg: int, rel: list[int]):
-        """Add the candidates mon * x_j**e for a new parent basis member
-        whose relation over the parent basis was rel before it became a
-        pivot; each gets the relation that follows on the rows fed so far."""
-        f = self.f
-        add, mul = f.add, f.mul
-        parent = len(lv.kids)
-        kids: list[Optional[int]] = []
-        nb = len(lv.basis)
-        for e in range(self.kcap + 1):
-            if self.mode == "total" and deg + e > self.k:
-                kids.append(None)
-                continue
-            acc = [0] * nb
-            for i, a in enumerate(rel):
-                if not a:
-                    continue
-                c = lv.kids[i][e]
-                t = lv.pos.get(c)
-                if t is not None:
-                    acc[t] = add(acc[t], a)
-                else:
-                    for t, x in enumerate(lv.rels[c]):
-                        if x:
-                            acc[t] = add(acc[t], mul(a, x))
-            kids.append(len(lv.mons))
+    def _grow(self, lv: _SpanLevel, i: int, mon: tuple, deg: int, rel: list[int]):
+        """Add the candidates mon * x_j**e of parent i, whose relation had the
+        coefficients rel before it was a pivot: theirs combine the blocks."""
+        K, at = self.kcap + 1, self._at
+        block = self.combine(rel, lv.blocks)
+        for e in range(K):
             lv.mons.append(mon + (e,))
             lv.degs.append(deg + e)
-            lv.src.append((parent, e))
-            lv.rels.append(acc)
-        lv.kids.append(kids)
+            if self.mode == "each" or deg + e <= self.k:
+                lv.free[deg + e] = lv.free.get(deg + e, 0) | self._cell << at[K * i + e + 1]
+        lv.blocks.append(block)
+        chunks = map(and_, map(rshift, repeat(block), at[0:K * len(lv.cols):K]),
+                     repeat(self._chunk))
+        lv.cols = list(map(or_, lv.cols, map(lshift, chunks, repeat(at[K * i + 1]))))
 
     def add(self, window, target: int) -> bool:
-        f = self.f
-        sub, mul, inv, pow_ = f.sub, f.mul, f.inv, f.pow
-        pvals = [1]  # values of the parent basis members on this row
-        last = self.m - 1
+        if self.fed in (None, self.rows):
+            raise ValueError(f"a span system takes {self.rows} rows, none after a rejected one")
+        self.fed += 1
+        at, cell, width, K, last = self._at, self._cell, self._width, self.kcap + 1, self.m - 1
+        minus, muladd, mod, powers = self.p - 1, self.muladd, self._mod, self._powers_of
+        simple = self.e == 1 and minus > 1
+        spread = at[1::K]  # parent i's value goes to cell K * i + 1
+        parents = 1 << width  # the empty monomial's value, 1, in cell 1
         for j, lv in enumerate(self.levels):
-            w = window[j]
-            pw = [1] + [pow_(w, e) for e in range(1, self.kcap + 1)]
-            vals = [mul(pvals[i], pw[e]) for i, e in lv.src]
-            bvals = [vals[c] for c in lv.basis]
-            pivot = None
-            moved = []  # (candidate, residual) for every nonzero residual
-            for c, rel in enumerate(lv.rels):
-                if rel is None:
-                    continue
-                r = vals[c]
-                for a, v in zip(rel, bvals):
-                    if a and v:
-                        r = sub(r, mul(a, v))
-                if r:
-                    moved.append((c, r))
-                    if pivot is None or lv.degs[c] < lv.degs[pivot[0]]:
-                        pivot = (c, r)
+            v = window[j]  # v**e in cell e
+            pw = powers.get(v) or powers.setdefault(
+                v, sum(self.put(0, e, self.f.pow(v, e)) for e in range(K)))
+            # candidate K * i + e's value: parent i's times v**e
+            vals = mod(parents * pw) if simple else muladd([0], [parents], pw)[0]
+            bvals = [vals >> at[c + 1] & cell for c in lv.basis]
+            free = lv.free
             if j == last:
-                r = target
-                for a, v in zip(self.target, bvals):
-                    if a and v:
-                        r = sub(r, mul(a, v))
-                if r:
-                    if pivot is None:
-                        return False
-                    moved.append((-1, r))
-            if pivot is None:
-                pvals = bvals
+                vals = self.put(vals, 0, target)
+            # minus the residuals; the pivot: the first free one of lowest degree
+            res = self.combine(bvals + [minus], lv.cols + [vals]) if free or j == last else 0
+            for d in sorted(free):
+                low = res & free[d]
+                if low:
+                    break
+            else:
+                if res & cell:  # the target's
+                    self.fed = None
+                    return False
+                parents = sum(map(lshift, bvals, spread))
                 continue
-            p, rp = pivot
-            prel = lv.rels[p]
-            lv.rels[p] = None
-            irp = inv(rp)
-            for c, r in moved:
-                if c == p:
-                    continue
-                g = mul(r, irp)
-                rel = lv.rels[c] if c >= 0 else self.target
-                for t, a in enumerate(prel):
-                    if a:
-                        rel[t] = sub(rel[t], mul(g, a))
-                rel.append(g)
-            nb = len(lv.basis)
-            for rel in lv.rels:  # the new basis member is absent from the rest
-                if rel is not None and len(rel) == nb:
-                    rel.append(0)
-            if j == last and len(self.target) == nb:
-                self.target.append(0)
-            lv.pos[p] = nb
-            lv.basis.append(p)
-            bvals.append(vals[p])
+            c = ((low & -low).bit_length() - 1) // width - 1
+            # g = res / pivot's; relations drop g * (pivot's relation - new member)
+            r = self.f.inv(self.entry(res, c + 1))
+            g = mod(r * res) if simple else self.scaled(res, r)
+            ng = g if minus == 1 else mod(minus * g)  # -g
+            i, e = divmod(c, K)
+            basis, blocks, nb = lv.basis, lv.blocks, len(lv.basis)
+            rel = blocks[i] >> at[e] & self._units  # coefficient t in cell K * t
+            coeffs = [rel >> s & cell for s in at[0:K * nb:K]]
+            lv.cols = muladd(lv.cols, coeffs, ng) + [g]
+            lv.blocks = muladd(blocks, [ng >> s & self._chunk for s in spread[:len(blocks)]],
+                               rel | minus << at[K * nb])
+            d = lv.degs[c]
+            free[d] ^= cell << at[c + 1]
+            if not free[d]:
+                del free[d]
+            basis.append(c)
+            bvals.append(vals >> at[c + 1] & cell)
             if j < last:
-                self._grow(self.levels[j + 1], lv.mons[p], lv.degs[p], prel)
-            pvals = bvals
+                self._grow(self.levels[j + 1], nb, lv.mons[c], d, coeffs)
+            parents = sum(map(lshift, bvals, spread))
         return True
 
     def exponents(self, cols) -> list[tuple[int, ...]]:
@@ -158,4 +145,4 @@ class _SpanSystem:
 
     def solution(self) -> list[int]:
         """The target's coefficients over the last level's basis."""
-        return list(self.target)
+        return [self.entry(col, 0) for col in self.levels[-1].cols]
