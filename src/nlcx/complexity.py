@@ -4,12 +4,14 @@ The central question: the shortest feedback length m for which some
 polynomial map f with a degree cap regenerates the sequence through
 s_{i+m} = f(s_i, ..., s_{i+m-1}).  For fixed m the existence of f is a
 linear question in the coefficients of f, decided exactly over the field:
-by Gaussian elimination over the monomial columns when they cost less
-than the rows can span, and otherwise by a column-space system that never
-lists the monomials (span._SpanSystem; _new_system prices both).
-Elimination runs on packed rows, one int per row with one cell of base-p
-digits per column, in the same way over every field and with no field
-multiplication per step; over F_2 a row is a bitmask.  Two degree regimes
+by Gaussian elimination over the monomial columns (packed._PackedSystem)
+when they cost less than the rows can span, and otherwise by a
+column-space system that never lists the monomials (span._SpanSystem;
+_new_system prices both).  Elimination runs on packed rows: one int per
+row, one cell of base-p digits per column, column 0 in the top cell, so
+a row's pivot comes from its bit length.  It runs the same way over every
+field, with no field multiplication per step; over F_2 a row is a
+bitmask.  Two degree regimes
 are supported: degree at most k in every variable separately ("each"),
 and total degree at most k ("total").  Linear complexity is computed by
 Berlekamp-Massey.
@@ -40,71 +42,17 @@ n - m terms, one per basis column.
 from __future__ import annotations
 
 import itertools
-from math import comb
 from typing import NamedTuple, Optional
 
-from .finite_field import Field, PackedVectors, _slot_rule, basis_values
+from .finite_field import Field, _slot_rule
 from .generators import Sequence
+from .packed import (DEFAULT_MAX_MONOMIALS, GuardExceeded, _PackedSystem, monomial_count,
+                     monomial_exponents)
 from .span import _SpanSystem
 
-DEFAULT_MAX_MONOMIALS = 1 << 20
 DEFAULT_MAX_ENUM = 1 << 24
 
 _MODES = {"nk": "each", "lk": "total"}
-
-
-class GuardExceeded(ValueError):
-    """A cost guard tripped; carries the offending size and the limit."""
-
-    def __init__(self, what: str, size: int, limit: int):
-        self.what, self.size, self.limit = what, size, limit
-        super().__init__(f"{what}: size {size} exceeds guard {limit}")
-
-    def __reduce__(self):  # so a trip in a worker process reaches the caller
-        return type(self), (self.what, self.size, self.limit)
-
-
-def monomial_count(m: int, k: int, mode: str, per_var: Optional[int] = None) -> int:
-    """Number of exponent vectors; per_var additionally caps each exponent.
-
-    Capping at q - 1 never changes the realizable functions over F_q
-    (x**q and x agree pointwise, and reduction only lowers degrees), so
-    the solvers pass per_var = q - 1 to keep the basis free of redundant
-    columns.
-    """
-    if per_var is None or per_var >= k:
-        return (k + 1) ** m if mode == "each" else comb(m + k, k)
-    if mode == "each":
-        return (per_var + 1) ** m
-    # total budget k with each exponent <= per_var, counted by DP
-    counts = [1] + [0] * k
-    for _ in range(m):
-        nxt = [0] * (k + 1)
-        for t, c in enumerate(counts):
-            if c:
-                for e in range(min(per_var, k - t) + 1):
-                    nxt[t + e] += c
-        counts = nxt
-    return sum(counts)
-
-
-def monomial_exponents(m: int, k: int, mode: str,
-                       per_var: Optional[int] = None) -> list[tuple[int, ...]]:
-    """Exponent vectors in lexicographic order, last variable fastest."""
-    cap = k if per_var is None else min(k, per_var)
-    if mode == "each":
-        return list(itertools.product(range(cap + 1), repeat=m))
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple, rest: int, budget: int):
-        if rest == 0:
-            out.append(prefix)
-            return
-        for e in range(min(cap, budget) + 1):
-            rec(prefix + (e,), rest - 1, budget - e)
-
-    rec((), m, k)
-    return out
 
 
 class FeedbackPolynomial(NamedTuple):
@@ -152,208 +100,6 @@ class ComplexityReport(NamedTuple):
     n: int
     value: int
     witness: Optional[FeedbackPolynomial] = None
-
-
-# ---------------------------------------------------------------------------
-# linear systems: one row per recurrence equation, one column per monomial,
-# plus the augmented column.  Rows are fed one at a time so profiles can
-# grow systems incrementally; add() returns False at the first row that
-# makes the system inconsistent.
-
-class _PackedSystem(PackedVectors):
-    """Monomial system on packed rows, for every field.
-
-    A row is a packed vector (PackedVectors) with one cell per column, the
-    augmented entry's in cell ncols, whose slots hold e products.
-    A row is eliminated against the pivot rows in column order and stored
-    scaled to 1 at its pivot, so the pivots are the lex-first columns.
-    Each pivot row b is stored with its multiples x**i * b, i < e, so that
-    clearing a column whose digits are d_i adds sum_i (p - d_i) * x**i * b:
-    F_p work only, with no field multiplication.
-
-    The constructor refuses more than max_monomials columns before it
-    builds anything, and fixes the basis: with lagrange, an "each"-mode
-    system's columns are the Lagrange basis on the nodes 0..kcap, an
-    invertible tensor power of a Vandermonde matrix away from the
-    monomials, so ranks and forced terms stay but there is no witness.
-    """
-
-    def __init__(self, field: Field, m: int, k: int, mode: str,
-                 lagrange: bool = False, max_monomials: int = DEFAULT_MAX_MONOMIALS):
-        self.f = field
-        self.m, self.k, self.mode = m, k, mode
-        self.kcap = cap = min(k, field.q - 1)
-        self.ncols = monomial_count(m, k, mode, per_var=cap)
-        if self.ncols > max_monomials:
-            raise GuardExceeded("monomial set", self.ncols, max_monomials)
-        self.monomial = not (lagrange and mode == "each")
-        # pivot column -> the pivot row b and its multiples, [x**i * b for i < e]
-        self.basis: dict[int, list[int]] = {}
-        super().__init__(field, self.ncols + 1, field.e)
-        width = self._width
-        if mode == "each":
-            # b_t(v) as steps (r, t), see BasisValues: per v in the Lagrange
-            # basis, the monomials' (1, 0), (0, 1), ..., (0, cap) at every v != 0
-            b, lag = cap + 1, not self.monomial
-            self._values = basis_values(field, cap) if lag else None
-            self._same = None if lag else ((1, 0),) + tuple((0, t) for t in range(1, b))
-            # the bit offset of column t of each variable's block, from the last
-            self._at = [[t * b ** j * width for t in range(b)] for j in range(m)]
-            return
-        # blocks per variable, from the last: (b, e, bit offset) places
-        # x_j**e times budget b - e's row in budget b's row
-        cols, self._plan = [1] * (k + 1), []
-        for _ in range(m):
-            blocks = []
-            for b in range(k, 0, -1):
-                at = cols[b]
-                for e in range(1, min(cap, b) + 1):
-                    blocks.append((b, e, at * width))
-                    at += cols[b - e]
-                cols[b] = at
-            self._plan.append(blocks)
-
-    def exponents(self, cols) -> list[tuple[int, ...]]:
-        """The exponent vectors of the given columns.  In "each" mode
-        column c's are the base-(kcap + 1) digits of c, the last variable
-        fastest, so no other column is listed."""
-        if not self.monomial:
-            raise ValueError("a Lagrange-basis system has no monomial witness")
-        if self.mode == "total":
-            exps = monomial_exponents(self.m, self.k, self.mode, per_var=self.kcap)
-            return [exps[c] for c in cols]
-        b = self.kcap + 1
-        place = [b ** j for j in range(self.m - 1, -1, -1)]
-        return [tuple(c // v % b for v in place) for c in cols]
-
-    def build_row(self, window, target: int) -> int:
-        """The row of one equation, built from the last variable to the
-        first: the columns led by b_t(x_j) in "each" mode, or x_j**e in
-        "total" mode, are that value times those of the later variables,
-        and lex order lists them in blocks by t or e, so a block is placed
-        with one shift and one product per step of b(x_j)'s chain."""
-        p, e, mod, times = self.p, self.e, self._mod, self._times
-        if self.mode == "each":
-            level, values, same = 1, self._values, self._same
-            for v, at in zip(reversed(window), self._at):
-                if not v:  # b_0(0) = 1 and every other b_t(0) = 0
-                    continue
-                y, level = level, 0
-                for r, t in same or values[v]:  # y becomes b_t(v) * the later row
-                    r = r or v
-                    if r != 1:  # p > 2 or e > 1
-                        y = r * y if e == 1 else times(r, y)
-                        if p > 2:
-                            y = mod(y)
-                    level |= y << at[t]
-            return self.put(level, self.ncols, target)
-        # level[b]: the row of the monomials in the later variables of
-        # total degree <= b; it is its own e = 0 block
-        level = [1] * (self.k + 1)
-        for v, blocks in zip(reversed(window), self._plan):
-            if not v:  # every block after the e = 0 one is zero
-                continue
-            for b, d, at in blocks:  # reads budgets below b, not yet rewritten
-                y = level[b - d]
-                a = v if d == 1 else self.f.pow(v, d)
-                if a != 1:  # p > 2 or e > 1
-                    y = a * y if e == 1 else times(a, y)
-                    if p > 2:
-                        y = mod(y)
-                level[b] |= y << at
-        return self.put(level[-1], self.ncols, target)
-
-    def reduce(self, row: int) -> tuple[int, int]:
-        """(c, row): row eliminated against the pivot rows, lowest column
-        first, up to its first nonzero column c that has no pivot row; c
-        is ncols when every monomial column reduces to zero."""
-        basis, p, w, ncols, slot, mod = (self.basis, self.p, self.w, self.ncols,
-                                         self._slot, self._mod)
-        if self.e == 1:  # basis has no row at the augmented column
-            c = ncols
-            if p == 2:  # F_2: the pivot is the lowest set bit, its entry 1
-                while row:
-                    c = (row & -row).bit_length() - 1
-                    b = basis.get(c)
-                    if b is None:
-                        break
-                    row ^= b[0]
-            else:  # F_p: -v * b is an integer multiple of b
-                while row:
-                    c = ((row & -row).bit_length() - 1) // w
-                    b = basis.get(c)
-                    if b is None:
-                        break
-                    row = mod(row + (p - (row >> c * w & slot)) * b[0])
-            return (c if row and c < ncols else ncols), row
-        width, cell = self._width, self._cell
-        while True:
-            c = ((row & -row).bit_length() - 1) // width
-            if not 0 <= c < ncols:
-                return ncols, row
-            mults = basis.get(c)
-            if mults is None:
-                return c, row
-            # -(sum_i d_i x**i) * b is sum_i (p - d_i) * (x**i * b)
-            v = row >> c * width & cell
-            if p == 2:
-                for b in mults:
-                    if v & 1:
-                        row ^= b
-                    v >>= 1
-            else:
-                acc = row
-                for b in mults:
-                    d = v & slot
-                    if d:
-                        acc += (p - d) * b
-                    v >>= w
-                row = mod(acc)
-
-    def install(self, c: int, row: int):
-        """Store row, which is 1 at column c, as the pivot row of c, with
-        its multiples by x**i; deleting basis[c] undoes it."""
-        self.basis[c] = self._powers(row)
-
-    def add(self, window, target: int) -> bool:
-        c, row = self.reduce(self.build_row(window, target))
-        if c == self.ncols:
-            return not row
-        v = self.entry(row, c)
-        self.install(c, row if v == 1 else self.scaled(row, self.f.inv(v)))
-        return True
-
-    def solution(self) -> list[int]:
-        """Pivot variables by back-substitution, free variables zero.  A
-        pivot row's dot product with the solution sums, over pairs of
-        digits (i, j), x**i * x**j times their digit products mod p,
-        counted by popcounts against bit masks of the solution."""
-        if not self.monomial:
-            raise ValueError("a Lagrange-basis system has no monomial witness")
-        f, p, e, w = self.f, self.p, self.e, self.w
-        nbits = (p - 1).bit_length()
-        cross = [[f.mul(p ** i, p ** j) for j in range(e)] for i in range(e)]
-        # masks[j][u]: bit 0 of the cell of each column whose solved value
-        # has bit u set in its digit j
-        masks = [[0] * nbits for _ in range(e)]
-        sol = [0] * self.ncols
-        for c in sorted(self.basis, reverse=True):
-            row = self.basis[c][0]
-            acc = self.entry(row, self.ncols)
-            for i in range(e):
-                digits = row >> i * w  # digit i of each cell at the cell's bit 0
-                for j in range(e):
-                    dot = sum((digits >> t & s).bit_count() << t + u
-                              for t in range(nbits) for u, s in enumerate(masks[j]))
-                    if dot % p:
-                        acc = f.sub(acc, f.mul(dot % p, cross[i][j]))
-            sol[c] = v = acc
-            for j in range(e):
-                v, d = divmod(v, p)
-                for u in range(nbits):
-                    if d >> u & 1:
-                        masks[j][u] |= 1 << c * self._width
-        return sol
 
 
 def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int,

@@ -498,21 +498,35 @@ class PackedVectors:
             out.append(row)
         return out
 
-    def _times(self, a: int, row: int) -> int:
-        """a * row, sum_i a_i * x**i * row over a's base-p digits a_i; at
-        odd p each slot is left unreduced, a sum of at most e products."""
-        if self.e == 1:
-            return a * row
+    def _times(self, a: int, ys) -> int:
+        """a * row from ys = _powers(row), e > 1: sum_i a_i * x**i * row
+        over a's base-p digits a_i; at odd p each slot is left unreduced,
+        a sum of at most e products."""
         p, out = self.p, 0
-        for y in self._powers(row):
+        for y in ys:
             a, d = divmod(a, p)
             if d:
                 out = out ^ y if p == 2 else out + d * y
         return out
 
+    def _value(self, cell: int) -> int:
+        """The field element whose base-p digits are in the slots of cell."""
+        p, w, slot = self.p, self.w, self._slot
+        return sum((cell >> i * w & slot) * p ** i for i in range(self.e))
+
+    def _cell_of(self, v: int) -> int:
+        """The cell of the field element v: its base-p digits in their slots."""
+        if self.p == 2 or self.e == 1:  # the cell is the encoding
+            return v
+        p, w, cell = self.p, self.w, 0
+        for i in range(self.e):
+            v, d = divmod(v, p)
+            cell |= d << i * w
+        return cell
+
     def axpy(self, row: int, a: int, b: int) -> int:
         """row + a * b."""
-        x = self._times(a, b)
+        x = a * b if self.e == 1 else self._times(a, self._powers(b))
         return row ^ x if self.p == 2 else self._mod(row + x)
 
     def scaled(self, row: int, a: int) -> int:
@@ -522,21 +536,12 @@ class PackedVectors:
     def entry(self, row: int, c: int) -> int:
         """The field element in column c of row."""
         v = row >> c * self._width & self._cell
-        if self.p == 2 or self.e == 1:  # the cell is the encoding
-            return v
-        p, w, slot = self.p, self.w, self._slot
-        return sum((v >> i * w & slot) * p ** i for i in range(self.e))
+        return v if self.p == 2 or self.e == 1 else self._value(v)
 
     def put(self, row: int, c: int, v: int) -> int:
         """row with v in column c."""
         at = c * self._width
-        if self.p > 2 and self.e > 1:  # spread v's digits over the slots
-            p, w, cell = self.p, self.w, 0
-            for i in range(self.e):
-                v, d = divmod(v, p)
-                cell |= d << i * w
-            v = cell
-        return row & ~(self._cell << at) | v << at
+        return row & ~(self._cell << at) | self._cell_of(v) << at
 
     def combine(self, coeffs, vecs) -> int:
         """sum a * v over the cells a and the reduced vectors v, by Horner's

@@ -1,0 +1,298 @@
+"""The monomial solver system (_PackedSystem) and its monomial sets.
+
+Gaussian elimination over the monomial columns of a feedback system, on
+packed rows (finite_field.PackedVectors): one int per row, one cell of
+base-p digits per column.  Column c is cell ncols - c and the augmented
+entry is cell 0, so column 0 sits in the top cell and a row's pivot is
+its top nonzero cell, read from its bit length.  complexity._new_system
+picks this system wherever the column-space system (span._SpanSystem)
+would cost more.
+"""
+
+from __future__ import annotations
+
+import itertools
+from math import comb
+from typing import Optional
+
+from .finite_field import Field, PackedVectors, basis_values
+
+DEFAULT_MAX_MONOMIALS = 1 << 20
+
+
+class GuardExceeded(ValueError):
+    """A cost guard tripped; carries the offending size and the limit."""
+
+    def __init__(self, what: str, size: int, limit: int):
+        self.what, self.size, self.limit = what, size, limit
+        super().__init__(f"{what}: size {size} exceeds guard {limit}")
+
+    def __reduce__(self):  # so a trip in a worker process reaches the caller
+        return type(self), (self.what, self.size, self.limit)
+
+
+def monomial_count(m: int, k: int, mode: str, per_var: Optional[int] = None) -> int:
+    """Number of exponent vectors; per_var additionally caps each exponent.
+
+    Capping at q - 1 never changes the realizable functions over F_q
+    (x**q and x agree pointwise, and reduction only lowers degrees), so
+    the solvers pass per_var = q - 1 to keep the basis free of redundant
+    columns.
+    """
+    if per_var is None or per_var >= k:
+        return (k + 1) ** m if mode == "each" else comb(m + k, k)
+    if mode == "each":
+        return (per_var + 1) ** m
+    # total budget k with each exponent <= per_var, counted by DP
+    counts = [1] + [0] * k
+    for _ in range(m):
+        nxt = [0] * (k + 1)
+        for t, c in enumerate(counts):
+            if c:
+                for e in range(min(per_var, k - t) + 1):
+                    nxt[t + e] += c
+        counts = nxt
+    return sum(counts)
+
+
+def monomial_exponents(m: int, k: int, mode: str,
+                       per_var: Optional[int] = None) -> list[tuple[int, ...]]:
+    """Exponent vectors in lexicographic order, last variable fastest."""
+    cap = k if per_var is None else min(k, per_var)
+    if mode == "each":
+        return list(itertools.product(range(cap + 1), repeat=m))
+    out: list[tuple[int, ...]] = []
+
+    def rec(prefix: tuple, rest: int, budget: int):
+        if rest == 0:
+            out.append(prefix)
+            return
+        for e in range(min(cap, budget) + 1):
+            rec(prefix + (e,), rest - 1, budget - e)
+
+    rec((), m, k)
+    return out
+
+
+class _PackedSystem(PackedVectors):
+    """Monomial system on packed rows, for every field.
+
+    A row is a packed vector (PackedVectors) with one cell per column,
+    column c in cell ncols - c and the augmented entry in cell 0, whose
+    slots hold e products.  entry, put and basis take column indices.  A
+    row is eliminated against the pivot rows from its top cell down and
+    stored scaled to 1 at its pivot, so the pivots are the lex-first
+    columns, and a pivot row has no cell above its pivot.  Each pivot row
+    b is stored with its multiples x**i * b, i < e, so that clearing a
+    column whose digits are d_i adds sum_i (p - d_i) * x**i * b: F_p work
+    only, with no field multiplication.
+
+    The constructor refuses more than max_monomials columns before it
+    builds anything, and fixes the basis: with lagrange, an "each"-mode
+    system's columns are the Lagrange basis on the nodes 0..kcap, an
+    invertible tensor power of a Vandermonde matrix away from the
+    monomials, so ranks and forced terms stay but there is no witness.
+    """
+
+    def __init__(self, field: Field, m: int, k: int, mode: str,
+                 lagrange: bool = False, max_monomials: int = DEFAULT_MAX_MONOMIALS):
+        self.f = field
+        self.m, self.k, self.mode = m, k, mode
+        self.kcap = cap = min(k, field.q - 1)
+        self.ncols = monomial_count(m, k, mode, per_var=cap)
+        if self.ncols > max_monomials:
+            raise GuardExceeded("monomial set", self.ncols, max_monomials)
+        self.monomial = not (lagrange and mode == "each")
+        # pivot column -> the pivot row b and its multiples, [x**i * b for i < e]
+        self.basis: dict[int, list[int]] = {}
+        super().__init__(field, self.ncols + 1, field.e)
+        width = self._width
+        if mode == "each":
+            # b_t(v) as steps (r, t), see BasisValues: per v in the Lagrange
+            # basis, the monomials' (1, 0), (0, 1), ..., (0, cap) at every v != 0
+            b, lag = cap + 1, not self.monomial
+            self._values = basis_values(field, cap) if lag else None
+            self._same = None if lag else ((1, 0),) + tuple((0, t) for t in range(1, b))
+            # the bit offset of column t of each variable's block, from the
+            # last variable; t = 0 is the top block
+            self._at = [[(b - 1 - t) * b ** j * width for t in range(b)] for j in range(m)]
+            return
+        # per variable, from the last: (b, up, [(d, at), ...]) places budget
+        # b's row shifted by up as its x_j**0 block, and x_j**d times budget
+        # b - d's row at bit offset at; blocks with higher d sit lower.
+        # _one: the x**i multiples of budget 0's row, the constant monomial
+        cols, self._plan, self._one = [1] * (k + 1), [], self._powers(1)
+        for _ in range(m):
+            plan, grown = [], cols[:]
+            for b in range(k, 0, -1):
+                at, blocks = sum(cols[b - d] for d in range(min(cap, b) + 1)), []
+                grown[b] = at
+                for d in range(min(cap, b) + 1):
+                    at -= cols[b - d]
+                    blocks.append((d, at * width))
+                plan.append((b, blocks[0][1], blocks[1:]))
+            cols = grown
+            self._plan.append(plan)
+
+    def entry(self, row: int, c: int) -> int:
+        """The field element in column c of row."""
+        v = row >> (self.ncols - c) * self._width & self._cell
+        return v if self.p == 2 or self.e == 1 else self._value(v)
+
+    def put(self, row: int, c: int, v: int) -> int:
+        """row with v in column c."""
+        return PackedVectors.put(self, row, self.ncols - c, v)
+
+    def exponents(self, cols) -> list[tuple[int, ...]]:
+        """The exponent vectors of the given columns.  In "each" mode
+        column c's are the base-(kcap + 1) digits of c, the last variable
+        fastest, so no other column is listed."""
+        if not self.monomial:
+            raise ValueError("a Lagrange-basis system has no monomial witness")
+        if self.mode == "total":
+            exps = monomial_exponents(self.m, self.k, self.mode, per_var=self.kcap)
+            return [exps[c] for c in cols]
+        b = self.kcap + 1
+        place = [b ** j for j in range(self.m - 1, -1, -1)]
+        return [tuple(c // v % b for v in place) for c in cols]
+
+    def build_row(self, window, target: int) -> int:
+        """The row of one equation, built from the last variable to the
+        first: the columns led by b_t(x_j) in "each" mode, or x_j**d in
+        "total" mode, are that value times those of the later variables,
+        and lex order lists them in blocks by t or d, so a block is placed
+        with one shift.  At e > 1 each level is multiplied by x once
+        (_powers), every block is a digit combination of those e multiples,
+        and the blocks of a level are summed unreduced and reduced once."""
+        p, e, mod = self.p, self.e, self._mod
+        powers, times, mul = self._powers, self._times, self.f.mul
+        if self.mode == "each":
+            # a zero variable keeps only the top block: one pending shift,
+            # applied with the augmented cell's at the end
+            level, up, values, same = 1, self._width, self._values, self._same
+            for v, at in zip(reversed(window), self._at):
+                if not v:  # b_0(0) = 1 and every other b_t(0) = 0
+                    up += at[0]
+                    continue
+                if e == 1:  # y becomes b_t(v) * the later row
+                    y, level = level, 0
+                    for r, t in same or values[v]:
+                        r = r or v
+                        if r != 1:  # p > 2
+                            y = mod(r * y)
+                        level |= y << at[t]
+                    continue
+                a, acc, ys = 1, 0, powers(level)
+                for r, t in same or values[v]:  # a becomes b_t(v)
+                    a = mul(r or v, a)
+                    acc += times(a, ys) << at[t]
+                level = mod(acc) if p > 2 else acc
+            return level << up | self._cell_of(target)
+        # level[b]: the row of the monomials in the later variables of
+        # total degree <= b; level[0] is the constant monomial's
+        k, cap = self.k, self.kcap
+        level = [1] * (k + 1)
+        for v, plan in zip(reversed(window), self._plan):
+            if not v:  # every block after the x_j**0 one is zero
+                for b, up, _ in plan:
+                    level[b] <<= up
+                continue
+            vd = [1, v]  # v**d
+            for _ in range(1, cap):
+                vd.append(mul(v, vd[-1]))
+            # a block read from budget 0 is the cell of v**d, already reduced,
+            # so only the rows of budgets over 1 need reducing
+            ys = level if e == 1 else [self._one] + [powers(y) for y in level[1:k]]
+            for b, up, blocks in plan:  # reads budgets below b, not yet rewritten
+                acc = 0
+                if e == 1:
+                    for d, at in blocks:
+                        acc += vd[d] * ys[b - d] << at
+                else:
+                    for d, at in blocks:
+                        acc += times(vd[d], ys[b - d]) << at
+                level[b] = level[b] << up | (mod(acc) if p > 2 and b > 1 else acc)
+        return level[k] << self._width | self._cell_of(target)
+
+    def reduce(self, row: int) -> tuple[int, int]:
+        """(c, row): row eliminated against the pivot rows, from its top
+        cell down, up to its first nonzero column c that has no pivot row;
+        c is ncols when every monomial column reduces to zero.  The top
+        nonzero cell is the only one left by shifting it to bit 0."""
+        basis, p, w, ncols = self.basis, self.p, self.w, self.ncols
+        if p == 2 and self.e == 1:  # F_2: the pivot is the top set bit, its entry 1
+            while row > 1:
+                c = ncols + 1 - row.bit_length()
+                b = basis.get(c)
+                if b is None:
+                    return c, row
+                row ^= b[0]
+            return ncols, row
+        width, slot = self._width, self._slot
+        magic, shift, low = self._magic, self._shift, self._low  # _mod, inline
+        while True:
+            at = (row.bit_length() - 1) // width
+            if at < 1:  # zero, or only the augmented cell is left
+                return ncols, row
+            mults = basis.get(ncols - at)
+            if mults is None:
+                return ncols - at, row
+            # -(sum_i d_i x**i) * b is sum_i (p - d_i) * (x**i * b)
+            v = row >> at * width
+            if p == 2:
+                for b in mults:
+                    if v & 1:
+                        row ^= b
+                    v >>= 1
+                continue
+            for b in mults:
+                d = v & slot
+                if d:
+                    row += (p - d) * b
+                v >>= w
+            row -= p * ((row * magic >> shift) & low)
+
+    def install(self, c: int, row: int):
+        """Store row, which is 1 at column c, as the pivot row of c, with
+        its multiples by x**i; deleting basis[c] undoes it."""
+        self.basis[c] = self._powers(row)
+
+    def add(self, window, target: int) -> bool:
+        c, row = self.reduce(self.build_row(window, target))
+        if c == self.ncols:
+            return not row
+        v = self.entry(row, c)
+        self.install(c, row if v == 1 else self.scaled(row, self.f.inv(v)))
+        return True
+
+    def solution(self) -> list[int]:
+        """Pivot variables by back-substitution, free variables zero.  A
+        pivot row's dot product with the solution sums, over pairs of
+        digits (i, j), x**i * x**j times their digit products mod p,
+        counted by popcounts against bit masks of the solution."""
+        if not self.monomial:
+            raise ValueError("a Lagrange-basis system has no monomial witness")
+        f, p, e, w, ncols = self.f, self.p, self.e, self.w, self.ncols
+        nbits = (p - 1).bit_length()
+        cross = [[f.mul(p ** i, p ** j) for j in range(e)] for i in range(e)]
+        # masks[j][u]: bit 0 of the cell of each column whose solved value
+        # has bit u set in its digit j
+        masks = [[0] * nbits for _ in range(e)]
+        sol = [0] * ncols
+        for c in sorted(self.basis, reverse=True):
+            row = self.basis[c][0]
+            acc = self.entry(row, ncols)
+            for i in range(e):
+                digits = row >> i * w  # digit i of each cell at the cell's bit 0
+                for j in range(e):
+                    dot = sum((digits >> t & s).bit_count() << t + u
+                              for t in range(nbits) for u, s in enumerate(masks[j]))
+                    if dot % p:
+                        acc = f.sub(acc, f.mul(dot % p, cross[i][j]))
+            sol[c] = v = acc
+            for j in range(e):
+                v, d = divmod(v, p)
+                for u in range(nbits):
+                    if d >> u & 1:
+                        masks[j][u] |= 1 << (ncols - c) * self._width
+        return sol

@@ -3,7 +3,7 @@
 It decides whether a feedback system's targets lie in the span of its
 monomial columns without listing the monomials.  complexity._new_system
 picks it where the monomials outnumber its candidate columns and also
-cost more; every other system is a packed monomial one.
+cost more; every other system is a packed monomial one (packed.py).
 """
 
 from __future__ import annotations

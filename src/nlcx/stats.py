@@ -22,10 +22,10 @@ import os
 import sys
 from typing import NamedTuple
 
-from .complexity import (DEFAULT_MAX_MONOMIALS, GuardExceeded, _PackedSystem,
-                         _full_function_space, profile)
+from .complexity import GuardExceeded, _full_function_space, profile
 from .finite_field import field_of_order
 from .generators import child_seed, random_sequence
+from .packed import DEFAULT_MAX_MONOMIALS, _PackedSystem
 
 DEFAULT_MAX_SEQUENCES = 1 << 22
 
