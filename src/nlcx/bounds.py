@@ -98,10 +98,7 @@ def _profile_checks(seq: Sequence, theorem: str, k: int, kind: str,
                     bound_fn, n_max: Optional[int], **ids) -> list[BoundCheck]:
     n_stop = len(seq) if n_max is None else min(n_max, len(seq))
     sub = seq.prefix(n_stop)
-    if kind == "lin":
-        prof = cx.linear_profile(sub)
-    else:
-        prof = cx.profile(sub, k, kind)
+    prof = cx.profile(sub, k, kind)
     out = []
     for n in range(1, n_stop + 1):
         b = bound_fn(n)

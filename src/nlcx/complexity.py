@@ -18,7 +18,7 @@ Berlekamp-Massey.
 
 Which basis: fixed when a system is built.  With no witness wanted,
 "each"-mode elimination runs in the Lagrange basis on the nodes 0..kcap
-(finite_field.BasisValues), where a term at a node fills one column of
+(packed.BasisValues), where a term at a node fills one column of
 its block.  That keeps the column span, so every value, profile and count
 is the one the monomials give.  A witness search builds monomials only.
 
@@ -44,10 +44,10 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple, Optional
 
-from .finite_field import Field, _slot_rule
+from .finite_field import Field
 from .generators import Sequence
-from .packed import (DEFAULT_MAX_MONOMIALS, GuardExceeded, _PackedSystem, monomial_count,
-                     monomial_exponents)
+from .packed import (DEFAULT_MAX_MONOMIALS, GuardExceeded, _PackedSystem, _slot_rule,
+                     monomial_count, monomial_exponents)
 from .span import _SpanSystem
 
 DEFAULT_MAX_ENUM = 1 << 24

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache, reduce
-from operator import mul, xor
+from functools import lru_cache
 
 MAX_FIELD_ORDER = 1 << 16
 
@@ -288,12 +287,6 @@ class Field:
             raise ValueError(f"encoding {v} out of range for q={self.q}")
         return FieldElement(self, v)
 
-    def from_coeffs(self, coeffs) -> "FieldElement":
-        coeffs = list(coeffs)
-        if len(coeffs) != self.e:
-            raise ValueError(f"expected {self.e} coefficients")
-        return FieldElement(self, self.encode(coeffs))
-
     def elements(self):
         return (FieldElement(self, v) for v in range(self.q))
 
@@ -435,186 +428,3 @@ def in_cyclic_subgroup(u: FieldElement, c: FieldElement) -> bool:
         raise ValueError("subgroup membership is defined for nonzero elements")
     d = u.field.order_of(u.val)
     return u.field.pow(c.val, d) == 1
-
-
-# ---------------------------------------------------------------------------
-# packed vectors
-
-def _slot_rule(p: int, products: int) -> tuple[int, int, int]:
-    """(w, magic, shift) of packed vectors over F_(p**e) whose slots hold a
-    digit plus `products` products of two digits before they are reduced.
-    At p = 2 a slot is one bit and addition is xor.  Otherwise a slot's
-    value before reduction is at most top; then
-    x - p * ((x * magic) >> shift) is x mod p for every x <= top, since
-    top * (magic * p - 2**shift) < 2**shift, and w fits x * magic."""
-    if p == 2:
-        return 1, 0, 0
-    top = (p - 1) * (1 + products * (p - 1))
-    shift = (top * (p - 1)).bit_length()
-    magic = -(-(1 << shift) // p)
-    return (top * magic).bit_length(), magic, shift
-
-
-class PackedVectors:
-    """Vectors over F_(p**e) packed into ints: entry c of a vector is the
-    cell of e * w bits at bit c * e * w, and base-p digit i of the entry is
-    the w-bit slot at bit i * w of the cell.  Integer multiples of vectors
-    add slot by slot, and one multiply-shift reduces every slot mod p at
-    once (_mod, see _slot_rule), so a slot may hold `products` products of
-    two digits between reductions; at p = 2 a slot is one bit, a cell is
-    the entry's encoding and adding is xor.  Every scalar product is a sum
-    of digit multiples of x**i * vector (_powers).  The masks cover the
-    first `cells` cells."""
-
-    def __init__(self, field: Field, cells: int, products: int):
-        self.p, self.e = p, e = field.p, field.e
-        w, magic, shift = _slot_rule(p, products)
-        self.w, self._magic, self._shift, self._products = w, magic, shift, products
-        self._slot = (1 << w) - 1
-        self._width = width = e * w  # bits per cell
-        self._cell = (1 << width) - 1
-        # bit 0 of every cell, then the low w - shift bits of every slot
-        ones = ((1 << cells * width) - 1) // self._cell
-        self._low = ones * (self._cell // self._slot * ((1 << w - shift) - 1))
-        self._top = ones * self._slot << width - w  # the top slot of every cell
-        self._digit = ones * self._slot  # the bottom slot of every cell
-        # x**e = -sum_j m_j x**j, m the field's modulus, as a cell
-        self._fold = sum(-c % p << j * w for j, c in enumerate(field.modulus[:-1]))
-
-    def _mod(self, x: int) -> int:
-        return x - self.p * ((x * self._magic >> self._shift) & self._low)
-
-    def _powers(self, row: int, n: int = 0) -> list[int]:
-        """[row, x * row, ..., x**(n - 1) * row], n = e by default, for a
-        reduced row: x moves each digit up one slot of its cell, and the
-        digit d leaving the top comes back as d * x**e in the same cell."""
-        out, w, top = [row], self.w, self._top
-        up = (self.e - 1) * w
-        for _ in range(1, n or self.e):
-            t = row & top
-            x = (t >> up) * self._fold  # no product leaves its cell's slots
-            row = (row ^ t) << w
-            row = row ^ x if self.p == 2 else self._mod(row + x)
-            out.append(row)
-        return out
-
-    def _times(self, a: int, ys) -> int:
-        """a * row from ys = _powers(row), e > 1: sum_i a_i * x**i * row
-        over a's base-p digits a_i; at odd p each slot is left unreduced,
-        a sum of at most e products."""
-        p, out = self.p, 0
-        for y in ys:
-            a, d = divmod(a, p)
-            if d:
-                out = out ^ y if p == 2 else out + d * y
-        return out
-
-    def _value(self, cell: int) -> int:
-        """The field element whose base-p digits are in the slots of cell."""
-        p, w, slot = self.p, self.w, self._slot
-        return sum((cell >> i * w & slot) * p ** i for i in range(self.e))
-
-    def _cell_of(self, v: int) -> int:
-        """The cell of the field element v: its base-p digits in their slots."""
-        if self.p == 2 or self.e == 1:  # the cell is the encoding
-            return v
-        p, w, cell = self.p, self.w, 0
-        for i in range(self.e):
-            v, d = divmod(v, p)
-            cell |= d << i * w
-        return cell
-
-    def axpy(self, row: int, a: int, b: int) -> int:
-        """row + a * b."""
-        x = a * b if self.e == 1 else self._times(a, self._powers(b))
-        return row ^ x if self.p == 2 else self._mod(row + x)
-
-    def scaled(self, row: int, a: int) -> int:
-        """a * row, a nonzero."""
-        return row if a == 1 else self.axpy(0, a, row)
-
-    def entry(self, row: int, c: int) -> int:
-        """The field element in column c of row."""
-        v = row >> c * self._width & self._cell
-        return v if self.p == 2 or self.e == 1 else self._value(v)
-
-    def put(self, row: int, c: int, v: int) -> int:
-        """row with v in column c."""
-        at = c * self._width
-        return row & ~(self._cell << at) | self._cell_of(v) << at
-
-    def combine(self, coeffs, vecs) -> int:
-        """sum a * v over the cells a and the reduced vectors v, by Horner's
-        rule in x over the digits of the a: each digit's products add up as
-        integers, reduced every `products` terms."""
-        p, e, w, n, mod = self.p, self.e, self.w, self._products, self._mod
-        if e == 1 and p > 2 and len(coeffs) <= n:
-            return mod(sum(map(mul, coeffs, vecs)))
-        acc = 0
-        for i in range(e - 1, -1, -1):
-            if acc:
-                acc = self._powers(acc, 2)[1]  # x * acc
-            digits = coeffs if e == 1 else [a >> i * w & self._slot for a in coeffs]
-            if p == 2:
-                acc ^= reduce(xor, itertools.compress(vecs, digits), 0)
-            else:
-                for at in range(0, len(digits), n):
-                    acc = mod(acc + sum(map(mul, digits[at:at + n], vecs[at:at + n])))
-        return acc
-
-    def muladd(self, vecs, coeffs, b: int) -> list[int]:
-        """[v + a * b] over the reduced vectors v and a, where a * b is the
-        product of packed ints whose cells each meet in a cell of their
-        own, as when a is one cell: digit i of a's cells times x**i * b."""
-        p = self.p
-        if self.e == 1:
-            if p == 2:
-                return [v ^ a * b for v, a in zip(vecs, coeffs)]
-            magic, shift, low = self._magic, self._shift, self._low  # _mod, inline
-            return [(x := v + a * b) - p * ((x * magic >> shift) & low) if a else v
-                    for v, a in zip(vecs, coeffs)]
-        bs, shifts = self._powers(b), range(0, self._width, self.w)
-        split = [a and [a >> s & self._digit for s in shifts] for a in coeffs]
-        if p == 2:
-            return [reduce(xor, map(mul, ds, bs), v) if ds else v for v, ds in zip(vecs, split)]
-        return [self._mod(v + sum(map(mul, ds, bs))) if ds else v for v, ds in zip(vecs, split)]
-
-
-class BasisValues(dict):
-    """The values of the Lagrange basis on the nodes with encodings 0..cap,
-    b_t(x) = prod_{u != t} (x - u) / (t - u), cap < q, as chains: basis[v]
-    lists steps (r, t), one per t with b_t(v) != 0, t increasing, where
-    b_t(v) is r times the previous step's value (times 1 at the first
-    step) and r = 0 stands for v.  b_t is 1 at node t and 0 at the other
-    nodes.  Each element's chain is stored on its first lookup, so at most
-    q are.  (The monomial basis, b_t(x) = x**t, has the same chain (1, 0),
-    (0, 1), ..., (0, cap) at every v != 0; a packed system keeps it.)
-    """
-
-    def __init__(self, field: Field, cap: int):
-        super().__init__()
-        self.f, self.nodes = field, range(cap + 1)
-        # 1 / prod_{u != t} (t - u); a repeated node has no inverse
-        self._w = [field.inv(self._prod(t, t)) for t in self.nodes]
-
-    def _prod(self, x: int, t: int) -> int:
-        """prod_{u != t} (x - u) over the nodes u."""
-        acc = 1
-        for u in self.nodes:
-            if u != t:
-                acc = self.f.mul(acc, self.f.sub(x, u))
-        return acc
-
-    def __missing__(self, v: int):
-        f, out, last = self.f, [], 1
-        for t, w in zip(self.nodes, self._w):  # node t is the element t
-            a = f.mul(w, self._prod(v, t))
-            if a:
-                out.append((f.mul(a, f.inv(last)), t))
-                last = a
-        self[v] = out = tuple(out)
-        return out
-
-
-# the BasisValues of a field and cap, one per process
-basis_values = lru_cache(maxsize=None)(BasisValues)

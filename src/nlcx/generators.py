@@ -9,7 +9,6 @@ it, and round-trips through a plain text format.
 
 from __future__ import annotations
 
-import io
 import os
 from typing import Any, Optional
 
@@ -222,20 +221,12 @@ def _format_params(prov: dict) -> str:
     return ",".join(f"{k}={v}" for k, v in items)
 
 
-def write_sequence(seq: Sequence, fp, extra_comments=()) -> None:
-    """Write seq to a file object or path in the plain text format."""
-    own = isinstance(fp, (str, bytes, os.PathLike))
-    f = open(fp, "w") if own else fp
-    try:
-        kind = seq.provenance.get("kind", "unknown")
-        f.write(f"# q={seq.field.q} kind={kind} params={_format_params(seq.provenance)}\n")
-        for line in extra_comments:
-            f.write(f"# {line}\n")
-        for v in seq.values:
-            f.write(f"{v}\n")
-    finally:
-        if own:
-            f.close()
+def sequence_to_text(seq: Sequence, extra_comments=()) -> str:
+    """seq in the plain text format, extra_comments after its header."""
+    kind = seq.provenance.get("kind", "unknown")
+    header = f"# q={seq.field.q} kind={kind} params={_format_params(seq.provenance)}\n"
+    return (header + "".join(f"# {line}\n" for line in extra_comments)
+            + "".join(f"{v}\n" for v in seq.values))
 
 
 def _parse_scalar(s: str):
@@ -245,25 +236,19 @@ def _parse_scalar(s: str):
         return s
 
 
-def read_sequence(fp) -> Sequence:
+def sequence_from_text(text: str) -> Sequence:
     """Parse the text format back into a Sequence (canonical field for its q)."""
-    own = isinstance(fp, (str, bytes, os.PathLike))
-    f = open(fp) if own else fp
-    try:
-        header = None
-        values = []
-        for raw in f:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if header is None:
-                    header = line[1:].strip()
-                continue
-            values.append(int(line))
-    finally:
-        if own:
-            f.close()
+    header = None
+    values = []
+    for raw in text.split("\n"):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if header is None:
+                header = line[1:].strip()
+            continue
+        values.append(int(line))
     if header is None:
         raise ValueError("missing header line '# q=... kind=... params=...'")
     fields = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
@@ -280,11 +265,19 @@ def read_sequence(fp) -> Sequence:
     return Sequence(field, values, prov)
 
 
-def sequence_to_text(seq: Sequence, extra_comments=()) -> str:
-    buf = io.StringIO()
-    write_sequence(seq, buf, extra_comments)
-    return buf.getvalue()
+def write_sequence(seq: Sequence, fp, extra_comments=()) -> None:
+    """Write seq to a file object or path in the plain text format."""
+    text = sequence_to_text(seq, extra_comments)
+    if isinstance(fp, (str, bytes, os.PathLike)):
+        with open(fp, "w") as f:
+            f.write(text)
+    else:
+        fp.write(text)
 
 
-def sequence_from_text(text: str) -> Sequence:
-    return read_sequence(io.StringIO(text))
+def read_sequence(fp) -> Sequence:
+    """Read a Sequence from a file object or path in the plain text format."""
+    if isinstance(fp, (str, bytes, os.PathLike)):
+        with open(fp) as f:
+            return sequence_from_text(f.read())
+    return sequence_from_text(fp.read())

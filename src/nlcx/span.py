@@ -11,7 +11,8 @@ from __future__ import annotations
 from itertools import repeat
 from operator import and_, lshift, or_, rshift
 
-from .finite_field import Field, PackedVectors
+from .finite_field import Field
+from .packed import PackedVectors
 
 
 class _SpanLevel:

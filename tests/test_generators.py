@@ -142,12 +142,22 @@ def test_file_round_trip(tmp_path):
     assert t.provenance == s.provenance
 
 
-def test_file_round_trip_through_a_path_object(tmp_path):
-    s = inversive_periodic(field_of_order(7), 3, 9)
+@pytest.mark.parametrize("how", ["str", "bytes", "path", "file"])
+def test_files_hold_exactly_the_text_format(tmp_path, how):
+    s = inversive_periodic(field_of_order(9), 4, 7)
+    comments = ["first comment", "second"]
     p = tmp_path / "seq.txt"
-    write_sequence(s, p)
-    assert p.read_text() == sequence_to_text(s)
-    assert read_sequence(p) == s
+    if how == "file":
+        with open(p, "w") as out:
+            write_sequence(s, out, comments)
+        with open(p) as src:
+            t = read_sequence(src)
+    else:
+        target = {"str": str(p), "bytes": bytes(p), "path": p}[how]
+        write_sequence(s, target, comments)
+        t = read_sequence(target)
+    assert p.read_text() == sequence_to_text(s, comments)
+    assert t == s
 
 
 def test_read_rejects_headerless_input():

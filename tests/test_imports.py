@@ -1,5 +1,8 @@
-"""Every name a module of src/nlcx imports is used in that module, and
-starting the CLI imports no module that only some commands need.
+"""Every name a module of src/nlcx imports is used in that module,
+starting the CLI imports no module that only some commands need, and the
+field and solver modules keep their layers: finite_field imports no
+module of the package, packed only finite_field, span only those two,
+and the packed-vector format is defined in packed alone.
 
 A stdlib ast scan: a name counts as used where it is read anywhere in the
 module, also inside a quoted annotation.  The package's __init__ (its
@@ -57,6 +60,56 @@ def test_no_unused_imports_in_the_package():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     assert found and not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+def internal_imports(source: str) -> set[str]:
+    """The modules of the package a module imports, relative or as nlcx.<name>."""
+    dotted = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["nlcx" if node.level else "", node.module]))
+            dotted += [f"{base}.{a.name}" for a in node.names]
+    return {parts[1] for parts in (d.split(".") for d in dotted)
+            if parts[0] == "nlcx" and len(parts) > 1}
+
+
+def test_checker_finds_internal_imports():
+    source = ("from __future__ import annotations\nimport os.path\nimport nlcx.cli\n"
+              "from . import complexity as cx\nfrom .packed import PackedVectors\n"
+              "from nlcx.span import _SpanSystem\n")
+    assert internal_imports(source) == {"cli", "complexity", "packed", "span"}
+
+
+# the package modules each of these may import
+LAYERS = {"finite_field": set(), "packed": {"finite_field"},
+          "span": {"finite_field", "packed"}}
+
+
+def test_field_and_solver_modules_import_only_the_layers_below():
+    found = {name: internal_imports((SRC / f"{name}.py").read_text()) - allowed
+             for name, allowed in LAYERS.items()}
+    assert not any(found.values()), found
+
+
+PACKED_FORMAT = {"_slot_rule", "PackedVectors", "BasisValues", "basis_values"}
+
+
+def _top_level_names(source: str) -> set[str]:
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def test_the_packed_vector_format_is_defined_in_packed_only():
+    where = {path.stem: _top_level_names(path.read_text()) & PACKED_FORMAT
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: defs for name, defs in where.items() if defs} == {"packed": PACKED_FORMAT}
 
 
 # imported on first use only: dataclasses and inspect by nothing in the

@@ -17,8 +17,9 @@ import pytest
 
 import nlcx.complexity as cx
 import nlcx.stats as stats
-from nlcx.finite_field import basis_values, field_of_order
+from nlcx.finite_field import field_of_order
 from nlcx.generators import Sequence, random_sequence
+from nlcx.packed import basis_values
 
 # char 2 and e > 1 included; each field has a k < q - 1
 FIELDS = (3, 4, 5, 7, 8, 9, 25, 27)

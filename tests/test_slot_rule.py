@@ -1,4 +1,4 @@
-"""The slot rule of packed vectors (finite_field._slot_rule).
+"""The slot rule of packed vectors (packed._slot_rule).
 
 A packed system's slots hold a digit plus e products of two digits, and
 a column-space system's a digit plus as many products as its
@@ -9,7 +9,8 @@ top, and a slot of w bits must hold top * magic.
 """
 
 import nlcx.complexity as cx
-from nlcx.finite_field import _slot_rule, field_of_order, is_prime
+from nlcx.finite_field import field_of_order, is_prime
+from nlcx.packed import _slot_rule
 
 
 def rule_with_e_products(p, e):
