@@ -11,10 +11,12 @@ _new_system prices both).  Elimination runs on packed rows: one int per
 row, one cell of base-p digits per column, column 0 in the top cell, so
 a row's pivot comes from its bit length.  It runs the same way over every
 field, with no field multiplication per step; over F_2 a row is a
-bitmask.  Two degree regimes
-are supported: degree at most k in every variable separately ("each"),
-and total degree at most k ("total").  Linear complexity is computed by
-Berlekamp-Massey.
+bitmask.  A row is built one variable at a time from the last up, so a
+longer length's row extends a shorter one's, and a search extends each
+target's row per length instead of rebuilding it (_search).  Two
+degree regimes are supported: degree at most k in every variable
+separately ("each"), and total degree at most k ("total").  Linear
+complexity is computed by Berlekamp-Massey.
 
 Which basis: fixed when a system is built.  With no witness wanted,
 "each"-mode elimination runs in the Lagrange basis on the nodes 0..kcap
@@ -130,6 +132,19 @@ def _feed(system, vals, n: int, m: int) -> bool:
     return True
 
 
+def _add(system, vals, t: int, m: int, bodies: dict) -> bool:
+    """system.add of the equation of target t at length m.  A packed row
+    extends the longest body built for t so far, bodies[t] = (L, body),
+    by the variables vals[t - L - 1], ..., vals[t - m], one step each."""
+    if not isinstance(system, _PackedSystem):
+        return system.add(vals[t - m:t], vals[t])
+    L, body = bodies.get(t) or (0, system.unit())
+    for j in range(L, m):
+        body = system._extend(body, vals[t - 1 - j], j)
+    bodies[t] = m, body
+    return system.add_row(system.row(body, vals[t]))
+
+
 def _witness_from(system, m: int, k: int, mode: str) -> FeedbackPolynomial:
     sol = system.solution()
     cols = [i for i, c in enumerate(sol) if c]
@@ -172,10 +187,16 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
     is all zero or the search stopped.
 
     Profiles are nondecreasing, so each length m is tried once, at the
-    prefix where m - 1 failed: its system is fed that prefix and then
-    grows one row at a time.  A length at which two equal windows of the
-    prefix are followed by different terms builds no system.  The search
-    stops before the first prefix whose complexity would exceed cap.
+    prefix where m - 1 failed: its system takes one row per target of
+    that prefix, then one per later term.  Packed rows are extended per
+    target, not rebuilt per length: the row of target t at length m is
+    its row at a shorter length with the variables up to m - 1 on top,
+    so the search keeps the longest body built for each target and _add
+    extends it by the missing variables.  That store lives for one call,
+    holds one body per target and is dropped once a span system takes
+    over.  A length at which two equal windows of the prefix are
+    followed by different terms builds no system.  The search stops
+    before the first prefix whose complexity would exceed cap.
     Packed "each"-mode systems are built in the Lagrange basis unless a
     witness is wanted: then every system is a monomial one, so the last
     gives the canonical witness.
@@ -184,14 +205,14 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
         return _affine_profile(field, vals, cap), None
     seen = {} if _full_function_space(field, k, mode) else None
     out: list[int] = []
-    m, system = 0, None
+    m, system, bodies = 0, None, {}
     for idx, v in enumerate(vals):
         if m == 0:
             ok = not v  # the first nonzero term: search from m = 1
         elif seen is not None:
             ok = seen.setdefault(tuple(vals[idx - m:idx]), v) == v
         else:
-            ok = system.add(vals[idx - m:idx], v)
+            ok = _add(system, vals, idx, m, bodies)
         # a length-max(idx, 1) map always fits the first idx + 1 terms
         while not ok:
             if m == cap:
@@ -206,7 +227,9 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
             elif _windows_consistent(vals, idx + 1, m, {}):
                 system = _new_system(field, m, k, mode, max_monomials, len(vals) - m,
                                      not witness)
-                ok = _feed(system, vals, idx + 1, m)
+                if not isinstance(system, _PackedSystem):
+                    bodies.clear()  # span rows come from windows: free the store
+                ok = all(_add(system, vals, t, m, bodies) for t in range(m, idx + 1))
         out.append(m)
     return out, system
 

@@ -342,63 +342,87 @@ class _PackedSystem(PackedVectors):
         place = [b ** j for j in range(self.m - 1, -1, -1)]
         return [tuple(c // v % b for v in place) for c in cols]
 
-    def build_row(self, window, target: int) -> int:
-        """The row of one equation, built from the last variable to the
-        first: the columns led by b_t(x_j) in "each" mode, or x_j**d in
-        "total" mode, are that value times those of the later variables,
-        and lex order lists them in blocks by t or d, so a block is placed
-        with one shift.  At e > 1 each level is multiplied by x once
-        (_powers), every block is a digit combination of those e multiples,
-        and the blocks of a level are summed unreduced and reduced once."""
+    def _extend(self, body, v: int, j: int):
+        """body grown by one more variable x_j = v on top, j counted from
+        the last variable.  A body is a row without its augmented cell: an
+        int in "each" mode, the rows of the budgets 0..k in "total" mode.
+        Lex order lists the new columns in blocks led by b_t(v) ("each")
+        or v**d ("total"), each that value times part of the body, so a
+        block is placed with one shift; _at[j] and _plan[j] do not depend
+        on m, so a shorter system's body fits a longer one.  At e > 1 the
+        body is multiplied by x once (_powers), a block is a digit
+        combination of those e multiples, and the blocks are summed
+        unreduced and reduced once."""
         p, e, mod = self.p, self.e, self._mod
-        powers, times, mul = self._powers, self._times, self.f.mul
         if self.mode == "each":
-            # a zero variable keeps only the top block: one pending shift,
-            # applied with the augmented cell's at the end
-            level, up, values, same = 1, self._width, self._values, self._same
-            for v, at in zip(reversed(window), self._at):
-                if not v:  # b_0(0) = 1 and every other b_t(0) = 0
-                    up += at[0]
-                    continue
-                if e == 1:  # y becomes b_t(v) * the later row
-                    y, level = level, 0
-                    for r, t in same or values[v]:
-                        r = r or v
-                        if r != 1:  # p > 2
-                            y = mod(r * y)
-                        level |= y << at[t]
-                    continue
-                a, acc, ys = 1, 0, powers(level)
-                for r, t in same or values[v]:  # a becomes b_t(v)
-                    a = mul(r or v, a)
-                    acc += times(a, ys) << at[t]
-                level = mod(acc) if p > 2 else acc
-            return level << up | self._cell_of(target)
+            at = self._at[j]
+            if not v:  # b_0(0) = 1 and every other b_t(0) = 0
+                return body << at[0]
+            steps = self._same or self._values[v]
+            if e == 1:  # y becomes b_t(v) * body
+                y, out = body, 0
+                for r, t in steps:
+                    r = r or v
+                    if r != 1:  # p > 2
+                        y = mod(r * y)
+                    out |= y << at[t]
+                return out
+            a, acc, ys, mul = 1, 0, self._powers(body), self.f.mul
+            for r, t in steps:  # a becomes b_t(v)
+                a = mul(r or v, a)
+                acc += self._times(a, ys) << at[t]
+            return mod(acc) if p > 2 else acc
         # level[b]: the row of the monomials in the later variables of
         # total degree <= b; level[0] is the constant monomial's
-        k, cap = self.k, self.kcap
-        level = [1] * (k + 1)
-        for v, plan in zip(reversed(window), self._plan):
-            if not v:  # every block after the x_j**0 one is zero
-                for b, up, _ in plan:
-                    level[b] <<= up
-                continue
-            vd = [1, v]  # v**d
-            for _ in range(1, cap):
-                vd.append(mul(v, vd[-1]))
-            # a block read from budget 0 is the cell of v**d, already reduced,
-            # so only the rows of budgets over 1 need reducing
-            ys = level if e == 1 else [self._one] + [powers(y) for y in level[1:k]]
-            for b, up, blocks in plan:  # reads budgets below b, not yet rewritten
-                acc = 0
-                if e == 1:
-                    for d, at in blocks:
-                        acc += vd[d] * ys[b - d] << at
-                else:
-                    for d, at in blocks:
-                        acc += times(vd[d], ys[b - d]) << at
-                level[b] = level[b] << up | (mod(acc) if p > 2 and b > 1 else acc)
-        return level[k] << self._width | self._cell_of(target)
+        k, plan, level = self.k, self._plan[j], body[:]
+        if not v:  # every block after the x_j**0 one is zero
+            for b, up, _ in plan:
+                level[b] <<= up
+            return level
+        vd = [1, v]  # v**d
+        for _ in range(1, self.kcap):
+            vd.append(self.f.mul(v, vd[-1]))
+        # a block read from budget 0 is the cell of v**d, already reduced,
+        # so only the rows of budgets over 1 need reducing
+        ys = level if e == 1 else [self._one] + [self._powers(y) for y in level[1:k]]
+        for b, up, blocks in plan:  # reads budgets below b, not yet rewritten
+            acc = 0
+            if e == 1:
+                for d, at in blocks:
+                    acc += vd[d] * ys[b - d] << at
+            else:
+                for d, at in blocks:
+                    acc += self._times(vd[d], ys[b - d]) << at
+            level[b] = level[b] << up | (mod(acc) if p > 2 and b > 1 else acc)
+        return level
+
+    def unit(self):
+        """The body of no variables: the constant monomial's cell."""
+        return 1 if self.mode == "each" else [1] * (self.k + 1)
+
+    def row(self, body, target: int) -> int:
+        """The row of a full-length body, with target in the augmented cell."""
+        top = body if self.mode == "each" else body[self.k]
+        return top << self._width | self._cell_of(target)
+
+    def build_row(self, window, target: int) -> int:
+        """The row of one equation: _extend folded over the window from
+        the last variable to the first, from the unit body.  In "each"
+        mode a zero variable keeps only the top block, so its shift is
+        deferred and applied with the augmented cell's at the end."""
+        extend = self._extend
+        if self.mode == "total":
+            body = self.unit()
+            for j, v in enumerate(reversed(window)):
+                body = extend(body, v, j)
+            return self.row(body, target)
+        body, up, at = 1, self._width, self._at
+        for j, v in enumerate(reversed(window)):
+            if v:
+                body = extend(body, v, j)
+            else:
+                up += at[j][0]
+        return body << up | self._cell_of(target)
 
     def reduce(self, row: int) -> tuple[int, int]:
         """(c, row): row eliminated against the pivot rows, from its top
@@ -444,7 +468,12 @@ class _PackedSystem(PackedVectors):
         self.basis[c] = self._powers(row)
 
     def add(self, window, target: int) -> bool:
-        c, row = self.reduce(self.build_row(window, target))
+        return self.add_row(self.build_row(window, target))
+
+    def add_row(self, row: int) -> bool:
+        """Whether the system stays consistent with row: row is eliminated
+        and, unless its columns all reduce to zero, stored as a pivot row."""
+        c, row = self.reduce(row)
         if c == self.ncols:
             return not row
         v = self.entry(row, c)

@@ -1,0 +1,131 @@
+"""Packed rows extended per target instead of rebuilt per length.
+
+The row of target t at feedback length m is its row at any shorter
+length L with the variables L..m - 1 on top, one _PackedSystem._extend
+step each, and the steps of a shorter system are those of a longer one.
+So a search keeps the longest body built for each target and extends it
+(complexity._add).  Checked here: every extension equals build_row's row
+bit for bit, in both modes and bases, over prime and extension fields,
+on windows with zeros; a search with the store gives the profile, the
+witness and the systems of one that builds every row from its window;
+and the store is gone once the search returns.
+"""
+
+import random
+import tracemalloc
+
+import nlcx.complexity as cx
+from nlcx.finite_field import field_of_order
+from nlcx.generators import Sequence, inversive_finite, random_sequence
+from nlcx.hermitian import hermitian_sequence
+
+FIELDS = (2, 3, 4, 5, 9, 25, 29)
+KINDS = (("each", True), ("each", False), ("total", False))  # (mode, lagrange)
+
+
+def with_zeros(q, n, seed):
+    """A sequence over F_q whose terms are zero a third of the time, so
+    windows have zeros at every position and some are all zero."""
+    rng = random.Random(seed)
+    return [rng.randrange(1, q) if rng.random() < 2 / 3 else 0 for _ in range(n)]
+
+
+def longest(q, k, mode):
+    """The largest m tried: the columns stay in the hundreds."""
+    cap, m = min(k, q - 1), 1
+    while cx.monomial_count(m + 1, k, mode, per_var=cap) <= 300 and m < 6:
+        m += 1
+    return m
+
+
+def test_extending_a_shorter_body_gives_the_row_built_from_scratch():
+    for q in FIELDS:
+        f = field_of_order(q)
+        for k in (1, 2):
+            for mode, lagrange in KINDS:
+                top = longest(q, k, mode)
+                systems = [cx._PackedSystem(f, m, k, mode, lagrange)
+                           for m in range(1, top + 1)]
+                vals = with_zeros(q, top + 40, q * 10 + k)
+                for t in range(top, len(vals)):
+                    # bodies[L]: the body of vals[t - L:t], each variable
+                    # added by the shortest system that has it
+                    bodies = [systems[0].unit()]
+                    for L, system in enumerate(systems):
+                        bodies.append(system._extend(bodies[-1], vals[t - 1 - L], L))
+                    for m, system in enumerate(systems, 1):
+                        want = system.build_row(vals[t - m:t], vals[t])
+                        where = (q, k, mode, lagrange, m, vals[t - m:t + 1])
+                        assert system.row(bodies[m], vals[t]) == want, where
+                        for L in range(m):
+                            body = bodies[L]
+                            for j in range(L, m):
+                                body = system._extend(body, vals[t - 1 - j], j)
+                            assert system.row(body, vals[t]) == want, where + (L,)
+
+
+def from_scratch(system, vals, t, m, bodies):
+    """_add with no store: every row built from its window."""
+    return system.add(vals[t - m:t], vals[t])
+
+
+def searches(q):
+    """(sequence, k) pairs over F_q: random with zeros, and a structured
+    sequence whose long prefixes reach span systems at q > 9."""
+    f = field_of_order(q)
+    out = [(Sequence(f, with_zeros(q, 40, q)), k) for k in (1, 2)]
+    out.append((random_sequence(f, 36, q), 2))
+    if q in (25, 29):
+        out.append((inversive_finite(f), 2))
+    if q == 4:
+        out.append((hermitian_sequence(2), 2))
+    return out
+
+
+def results(s, k):
+    return (cx.profile(s, k, "nk"), cx.profile(s, k, "lk"),
+            cx.nonlinear_complexity(s, k), cx.total_degree_complexity(s, k),
+            [cx.complexity_at_most(s.field, s.values, k, c) for c in range(0, 12, 3)])
+
+
+def test_search_with_the_store_matches_rows_built_from_scratch(monkeypatch):
+    made = []
+    real = cx._new_system
+
+    def recording(*args):
+        system = real(*args)
+        made.append((type(system).__name__, system.m, system.ncols,
+                     getattr(system, "monomial", None)))
+        return system
+
+    monkeypatch.setattr(cx, "_new_system", recording)
+    kinds = set()
+    for q in FIELDS:
+        for s, k in searches(q):
+            made.clear()
+            got, systems = results(s, k), made[:]
+            with monkeypatch.context() as mp:
+                mp.setattr(cx, "_add", from_scratch)
+                made.clear()
+                assert results(s, k) == got, (q, k, s.values)
+                assert made == systems, (q, k, s.values)
+            kinds |= {(name, monomial) for name, _, _, monomial in systems}
+    # both bases, and span systems after packed ones in one search
+    assert kinds == {("_PackedSystem", True), ("_PackedSystem", False),
+                     ("_SpanSystem", None)}, kinds
+
+
+def test_the_store_is_freed_when_the_search_returns():
+    s = hermitian_sequence(5)  # 96 terms over F_25
+    cx.profile(s, 1, "nk")  # the per-process caches: fields and basis values
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cx.profile(s, 1, "nk")
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the store and the systems held hundreds of KB while the search ran;
+    # what is left is the interpreter's free lists, a few small objects
+    assert peak - base > 200_000, peak - base
+    assert after - base < 4_096, after - base
