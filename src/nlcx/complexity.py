@@ -12,8 +12,9 @@ row, one cell of base-p digits per column, column 0 in the top cell, so
 a row's pivot comes from its bit length.  It runs the same way over every
 field, with no field multiplication per step; over F_2 a row is a
 bitmask.  A row is built one variable at a time from the last up, so a
-longer length's row extends a shorter one's, and a search extends each
-target's row per length instead of rebuilding it (_search).  Two
+longer length's row extends a shorter one's: a packed system keeps each
+target's row and the search hands that store to the next length's
+system, which extends it instead of rebuilding it (_search).  Two
 degree regimes are supported: degree at most k in every variable
 separately ("each"), and total degree at most k ("total").  Linear
 complexity is computed by Berlekamp-Massey.
@@ -105,14 +106,15 @@ class ComplexityReport(NamedTuple):
 
 
 def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int,
-                rows: int, lagrange: bool = False):
+                rows: int, lagrange: bool = False, store: Optional[dict] = None):
     """The solver system for length-m maps fed at most `rows` rows: a span
     system (q > 2) when the monomials outnumber its candidate columns and
     also cost more, else the packed system, in the Lagrange basis if
-    lagrange; max_monomials bounds the columns built.  A packed monomial
-    column is w * e bits of each row, so it is priced in 64-bit words
-    against one word per span candidate; the span system is also used
-    wherever the monomials alone pass max_monomials."""
+    lagrange, which keeps its rows' bodies in store if given one
+    (_PackedSystem.feed); max_monomials bounds the columns built.  A
+    packed monomial column is w * e bits of each row, so it is priced in
+    64-bit words against one word per span candidate; the span system is
+    also used wherever the monomials alone pass max_monomials."""
     q = field.q
     ncols = monomial_count(m, k, mode, per_var=q - 1)
     held = m * (min(k, q - 1) + 1) * max(rows, 1)
@@ -121,28 +123,7 @@ def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int,
         if held > max_monomials:
             raise GuardExceeded("span candidate columns", held, max_monomials)
         return _SpanSystem(field, m, k, mode, rows)
-    return _PackedSystem(field, m, k, mode, lagrange, max_monomials)
-
-
-def _feed(system, vals, n: int, m: int) -> bool:
-    add = system.add
-    for i in range(n - m):
-        if not add(vals[i:i + m], vals[i + m]):
-            return False
-    return True
-
-
-def _add(system, vals, t: int, m: int, bodies: dict) -> bool:
-    """system.add of the equation of target t at length m.  A packed row
-    extends the longest body built for t so far, bodies[t] = (L, body),
-    by the variables vals[t - L - 1], ..., vals[t - m], one step each."""
-    if not isinstance(system, _PackedSystem):
-        return system.add(vals[t - m:t], vals[t])
-    L, body = bodies.get(t) or (0, system.unit())
-    for j in range(L, m):
-        body = system._extend(body, vals[t - 1 - j], j)
-    bodies[t] = m, body
-    return system.add_row(system.row(body, vals[t]))
+    return _PackedSystem(field, m, k, mode, lagrange, max_monomials, store)
 
 
 def _witness_from(system, m: int, k: int, mode: str) -> FeedbackPolynomial:
@@ -187,16 +168,19 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
     is all zero or the search stopped.
 
     Profiles are nondecreasing, so each length m is tried once, at the
-    prefix where m - 1 failed: its system takes one row per target of
-    that prefix, then one per later term.  Packed rows are extended per
-    target, not rebuilt per length: the row of target t at length m is
-    its row at a shorter length with the variables up to m - 1 on top,
-    so the search keeps the longest body built for each target and _add
-    extends it by the missing variables.  That store lives for one call,
-    holds one body per target and is dropped once a span system takes
-    over.  A length at which two equal windows of the prefix are
-    followed by different terms builds no system.  The search stops
-    before the first prefix whose complexity would exceed cap.
+    prefix where m - 1 failed: its system is fed the equation of each
+    target of that prefix, then of each later term (feed, the one call a
+    search makes on a system).  Packed rows are extended per target, not
+    rebuilt per length: the row of target t at length m is its row at a
+    shorter length with the variables up to m - 1 on top, so a packed
+    system keeps the longest body built for each target, and the
+    outgrown system hands that store to the next length's.  The store
+    lives for one call, holds one body per target and is dropped once a
+    span system, which keeps none, takes over.  A length at which two
+    equal windows of the prefix are followed by different terms builds
+    no system; the outgrown one is kept until the next is built.  The
+    search stops before the first prefix whose complexity would exceed
+    cap.
     Packed "each"-mode systems are built in the Lagrange basis unless a
     witness is wanted: then every system is a monomial one, so the last
     gives the canonical witness.
@@ -205,31 +189,29 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
         return _affine_profile(field, vals, cap), None
     seen = {} if _full_function_space(field, k, mode) else None
     out: list[int] = []
-    m, system, bodies = 0, None, {}
+    m, system = 0, None
     for idx, v in enumerate(vals):
         if m == 0:
             ok = not v  # the first nonzero term: search from m = 1
         elif seen is not None:
             ok = seen.setdefault(tuple(vals[idx - m:idx]), v) == v
         else:
-            ok = _add(system, vals, idx, m, bodies)
+            ok = system.feed(vals, idx)
         # a length-max(idx, 1) map always fits the first idx + 1 terms
         while not ok:
             if m == cap:
                 return out, None
             m += 1
-            system = None  # free the outgrown system before the next is fed
             if seen is not None:
                 seen.clear()
                 ok = _windows_consistent(vals, idx + 1, m, seen)
             # equal windows followed by different terms: no map of any
             # degree fits, so no system is built for this m
             elif _windows_consistent(vals, idx + 1, m, {}):
+                # the outgrown system hands on its store, if any, and goes
                 system = _new_system(field, m, k, mode, max_monomials, len(vals) - m,
-                                     not witness)
-                if not isinstance(system, _PackedSystem):
-                    bodies.clear()  # span rows come from windows: free the store
-                ok = all(_add(system, vals, t, m, bodies) for t in range(m, idx + 1))
+                                     not witness, {} if system is None else system.store)
+                ok = all(system.feed(vals, t) for t in range(m, idx + 1))
         out.append(m)
     return out, system
 
@@ -254,7 +236,8 @@ def _complexity(s: Sequence, k: int, kind: str, max_monomials: int,
     if want_witness and 0 < m < n:
         if system is None:  # decided by a window scan or Berlekamp-Massey
             system = _new_system(s.field, m, k, mode, max_monomials, n - m, False)
-            _feed(system, vals, n, m)
+            for t in range(m, n):
+                system.feed(vals, t)
         wit = _witness_from(system, m, k, mode)
     return ComplexityReport(kind, k, n, m, wit)
 

@@ -39,6 +39,7 @@ class GuardExceeded(ValueError):
         return type(self), (self.what, self.size, self.limit)
 
 
+@lru_cache(maxsize=None)
 def monomial_count(m: int, k: int, mode: str, per_var: Optional[int] = None) -> int:
     """Number of exponent vectors; per_var additionally caps each exponent.
 
@@ -82,6 +83,7 @@ def monomial_exponents(m: int, k: int, mode: str,
     return out
 
 
+@lru_cache(maxsize=None)
 def _slot_rule(p: int, products: int) -> tuple[int, int, int]:
     """(w, magic, shift) of packed vectors over F_(p**e) whose slots hold a
     digit plus `products` products of two digits before they are reduced.
@@ -260,6 +262,31 @@ class BasisValues(dict):
 basis_values = lru_cache(maxsize=None)(BasisValues)
 
 
+@lru_cache(maxsize=None)
+def _blocks(mode: str, k: int, cap: int, m: int, width: int) -> tuple:
+    """Per variable j, from the last, where a row of cells of width bits
+    puts its blocks.  "each": the bit offset of column t of its block, t = 0
+    the top one.  "total": ((b, up, ((d, at), ...)), ...) places budget b's
+    row shifted by up as its x_j**0 block, and x_j**d times budget b - d's
+    row at bit offset at; blocks with higher d sit lower."""
+    if mode == "each":
+        b = cap + 1
+        return tuple(tuple((b - 1 - t) * b ** j * width for t in range(b)) for j in range(m))
+    cols, out = [1] * (k + 1), []
+    for _ in range(m):
+        plan, grown = [], cols[:]
+        for b in range(k, 0, -1):
+            at, blocks = sum(cols[b - d] for d in range(min(cap, b) + 1)), []
+            grown[b] = at
+            for d in range(min(cap, b) + 1):
+                at -= cols[b - d]
+                blocks.append((d, at * width))
+            plan.append((b, blocks[0][1], tuple(blocks[1:])))
+        cols = grown
+        out.append(tuple(plan))
+    return tuple(out)
+
+
 class _PackedSystem(PackedVectors):
     """Monomial system on packed rows, for every field.
 
@@ -281,7 +308,8 @@ class _PackedSystem(PackedVectors):
     """
 
     def __init__(self, field: Field, m: int, k: int, mode: str,
-                 lagrange: bool = False, max_monomials: int = DEFAULT_MAX_MONOMIALS):
+                 lagrange: bool = False, max_monomials: int = DEFAULT_MAX_MONOMIALS,
+                 store: Optional[dict] = None):
         self.f = field
         self.m, self.k, self.mode = m, k, mode
         self.kcap = cap = min(k, field.q - 1)
@@ -291,34 +319,23 @@ class _PackedSystem(PackedVectors):
         self.monomial = not (lagrange and mode == "each")
         # pivot column -> the pivot row b and its multiples, [x**i * b for i < e]
         self.basis: dict[int, list[int]] = {}
+        # target t -> (L, body), the longest body built for t (feed), if
+        # given a store, maybe a shorter system's
+        self.store = store
         super().__init__(field, self.ncols + 1, field.e)
-        width = self._width
+        self._elim = (self.p, self.w, self.ncols, self._width, self._slot,  # for reduce
+                      self._magic, self._shift, self._low)
+        self._at = _blocks(mode, k, cap, m, self._width)
         if mode == "each":
             # b_t(v) as steps (r, t), see BasisValues: per v in the Lagrange
             # basis, the monomials' (1, 0), (0, 1), ..., (0, cap) at every v != 0
-            b, lag = cap + 1, not self.monomial
+            lag = not self.monomial
             self._values = basis_values(field, cap) if lag else None
-            self._same = None if lag else ((1, 0),) + tuple((0, t) for t in range(1, b))
-            # the bit offset of column t of each variable's block, from the
-            # last variable; t = 0 is the top block
-            self._at = [[(b - 1 - t) * b ** j * width for t in range(b)] for j in range(m)]
+            self._same = None if lag else ((1, 0),) + tuple((0, t) for t in range(1, cap + 1))
+            self._unit = 1
             return
-        # per variable, from the last: (b, up, [(d, at), ...]) places budget
-        # b's row shifted by up as its x_j**0 block, and x_j**d times budget
-        # b - d's row at bit offset at; blocks with higher d sit lower.
         # _one: the x**i multiples of budget 0's row, the constant monomial
-        cols, self._plan, self._one = [1] * (k + 1), [], self._powers(1)
-        for _ in range(m):
-            plan, grown = [], cols[:]
-            for b in range(k, 0, -1):
-                at, blocks = sum(cols[b - d] for d in range(min(cap, b) + 1)), []
-                grown[b] = at
-                for d in range(min(cap, b) + 1):
-                    at -= cols[b - d]
-                    blocks.append((d, at * width))
-                plan.append((b, blocks[0][1], blocks[1:]))
-            cols = grown
-            self._plan.append(plan)
+        self._unit, self._one = [1] * (k + 1), self._powers(1)
 
     def entry(self, row: int, c: int) -> int:
         """The field element in column c of row."""
@@ -342,63 +359,68 @@ class _PackedSystem(PackedVectors):
         place = [b ** j for j in range(self.m - 1, -1, -1)]
         return [tuple(c // v % b for v in place) for c in cols]
 
-    def _extend(self, body, v: int, j: int):
-        """body grown by one more variable x_j = v on top, j counted from
-        the last variable.  A body is a row without its augmented cell: an
-        int in "each" mode, the rows of the budgets 0..k in "total" mode.
-        Lex order lists the new columns in blocks led by b_t(v) ("each")
-        or v**d ("total"), each that value times part of the body, so a
-        block is placed with one shift; _at[j] and _plan[j] do not depend
-        on m, so a shorter system's body fits a longer one.  At e > 1 the
-        body is multiplied by x once (_powers), a block is a digit
-        combination of those e multiples, and the blocks are summed
-        unreduced and reduced once."""
-        p, e, mod = self.p, self.e, self._mod
+    def _extend(self, body, vals, t: int, L: int):
+        """body, that of the variables x_j = vals[t - 1 - j], j < L, grown
+        by the variables L..m - 1 on top.  A body is a row without its
+        augmented cell: an int in "each" mode, the rows of the budgets 0..k
+        in "total" mode.  Lex order lists variable j's columns in blocks led
+        by b_u(v) ("each") or v**d ("total"), each that value times (part
+        of) the body so far, so a block is placed with one shift; _at[j]
+        does not depend on m, so a shorter system's body fits a longer one.
+        In "each" mode a zero variable keeps only the top block, whose shift
+        waits for the next nonzero one.  At e > 1 the body is multiplied by
+        x once per variable (_powers), a block is a digit combination of
+        those e multiples, and the blocks are reduced together."""
+        p, simple = self.p, self.e == 1
         if self.mode == "each":
-            at = self._at[j]
-            if not v:  # b_0(0) = 1 and every other b_t(0) = 0
-                return body << at[0]
-            steps = self._same or self._values[v]
-            if e == 1:  # y becomes b_t(v) * body
-                y, out = body, 0
-                for r, t in steps:
-                    r = r or v
-                    if r != 1:  # p > 2
-                        y = mod(r * y)
-                    out |= y << at[t]
-                return out
-            a, acc, ys, mul = 1, 0, self._powers(body), self.f.mul
-            for r, t in steps:  # a becomes b_t(v)
-                a = mul(r or v, a)
-                acc += self._times(a, ys) << at[t]
-            return mod(acc) if p > 2 else acc
+            magic, shift, low = self._magic, self._shift, self._low  # _mod, inline
+            offsets, chains, values, up = self._at, self._same, self._values, 0
+            for j in range(L, self.m):
+                v, at = vals[t - 1 - j], offsets[j]
+                if not v:  # b_0(0) = 1 and every other b_u(0) = 0
+                    up += at[0]
+                    continue
+                y, body, up = body << up, 0, 0
+                if simple:  # y becomes b_u(v) * y
+                    for r, u in chains or values[v]:
+                        r = r or v
+                        if r != 1:  # p > 2
+                            y = (x := r * y) - p * ((x * magic >> shift) & low)
+                        body |= y << at[u]
+                    continue
+                a, ys, mul = 1, self._powers(y), self.f.mul
+                for r, u in chains or values[v]:  # a becomes b_u(v)
+                    a = mul(r or v, a)
+                    body += self._times(a, ys) << at[u]
+                if p > 2:
+                    body = self._mod(body)
+            return body << up
         # level[b]: the row of the monomials in the later variables of
         # total degree <= b; level[0] is the constant monomial's
-        k, plan, level = self.k, self._plan[j], body[:]
-        if not v:  # every block after the x_j**0 one is zero
-            for b, up, _ in plan:
-                level[b] <<= up
-            return level
-        vd = [1, v]  # v**d
-        for _ in range(1, self.kcap):
-            vd.append(self.f.mul(v, vd[-1]))
-        # a block read from budget 0 is the cell of v**d, already reduced,
-        # so only the rows of budgets over 1 need reducing
-        ys = level if e == 1 else [self._one] + [self._powers(y) for y in level[1:k]]
-        for b, up, blocks in plan:  # reads budgets below b, not yet rewritten
-            acc = 0
-            if e == 1:
-                for d, at in blocks:
-                    acc += vd[d] * ys[b - d] << at
-            else:
-                for d, at in blocks:
-                    acc += self._times(vd[d], ys[b - d]) << at
-            level[b] = level[b] << up | (mod(acc) if p > 2 and b > 1 else acc)
+        k, cap, plan, level = self.k, self.kcap, self._at, body[:]
+        mod, mul = self._mod, self.f.mul
+        for j in range(L, self.m):
+            v = vals[t - 1 - j]
+            if not v:  # every block after the x_j**0 one is zero
+                for b, up, _ in plan[j]:
+                    level[b] <<= up
+                continue
+            vd = [1, v]  # v**d
+            for _ in range(1, cap):
+                vd.append(mul(v, vd[-1]))
+            # a block read from budget 0 is the cell of v**d, already reduced,
+            # so only the rows of budgets over 1 need reducing
+            ys = level if simple else [self._one] + [self._powers(y) for y in level[1:k]]
+            for b, up, blocks in plan[j]:  # reads budgets below b, not yet rewritten
+                acc = 0
+                if simple:
+                    for d, at in blocks:
+                        acc += vd[d] * ys[b - d] << at
+                else:
+                    for d, at in blocks:
+                        acc += self._times(vd[d], ys[b - d]) << at
+                level[b] = level[b] << up | (mod(acc) if p > 2 and b > 1 else acc)
         return level
-
-    def unit(self):
-        """The body of no variables: the constant monomial's cell."""
-        return 1 if self.mode == "each" else [1] * (self.k + 1)
 
     def row(self, body, target: int) -> int:
         """The row of a full-length body, with target in the augmented cell."""
@@ -406,31 +428,18 @@ class _PackedSystem(PackedVectors):
         return top << self._width | self._cell_of(target)
 
     def build_row(self, window, target: int) -> int:
-        """The row of one equation: _extend folded over the window from
-        the last variable to the first, from the unit body.  In "each"
-        mode a zero variable keeps only the top block, so its shift is
-        deferred and applied with the augmented cell's at the end."""
-        extend = self._extend
-        if self.mode == "total":
-            body = self.unit()
-            for j, v in enumerate(reversed(window)):
-                body = extend(body, v, j)
-            return self.row(body, target)
-        body, up, at = 1, self._width, self._at
-        for j, v in enumerate(reversed(window)):
-            if v:
-                body = extend(body, v, j)
-            else:
-                up += at[j][0]
-        return body << up | self._cell_of(target)
+        """The row of one equation: the body of no variables, the constant
+        monomial's cell, extended by the whole window."""
+        return self.row(self._extend(self._unit, window, len(window), 0), target)
 
     def reduce(self, row: int) -> tuple[int, int]:
         """(c, row): row eliminated against the pivot rows, from its top
         cell down, up to its first nonzero column c that has no pivot row;
         c is ncols when every monomial column reduces to zero.  The top
         nonzero cell is the only one left by shifting it to bit 0."""
-        basis, p, w, ncols = self.basis, self.p, self.w, self.ncols
-        if p == 2 and self.e == 1:  # F_2: the pivot is the top set bit, its entry 1
+        basis = self.basis
+        p, w, ncols, width, slot, magic, shift, low = self._elim
+        if width == 1:  # F_2: the pivot is the top set bit, its entry 1
             while row > 1:
                 c = ncols + 1 - row.bit_length()
                 b = basis.get(c)
@@ -438,8 +447,6 @@ class _PackedSystem(PackedVectors):
                     return c, row
                 row ^= b[0]
             return ncols, row
-        width, slot = self._width, self._slot
-        magic, shift, low = self._magic, self._shift, self._low  # _mod, inline
         while True:
             at = (row.bit_length() - 1) // width
             if at < 1:  # zero, or only the augmented cell is left
@@ -455,11 +462,14 @@ class _PackedSystem(PackedVectors):
                         row ^= b
                     v >>= 1
                 continue
-            for b in mults:
-                d = v & slot
-                if d:
-                    row += (p - d) * b
-                v >>= w
+            if w == width:  # e = 1: v is the one digit
+                row += (p - v) * mults[0]
+            else:
+                for b in mults:
+                    d = v & slot
+                    if d:
+                        row += (p - d) * b
+                    v >>= w
             row -= p * ((row * magic >> shift) & low)
 
     def install(self, c: int, row: int):
@@ -478,6 +488,30 @@ class _PackedSystem(PackedVectors):
             return not row
         v = self.entry(row, c)
         self.install(c, row if v == 1 else self.scaled(row, self.f.inv(v)))
+        return True
+
+    def feed(self, vals, t: int) -> bool:
+        """add of the equation of target t, vals[t - m:t] -> vals[t], whose
+        body extends and replaces store[t] = (L, body) if there is a store.
+        At e = 1 the row is eliminated and scaled by its pivot cell's
+        inverse here."""
+        store, m = self.store, self.m
+        L, body = store is not None and store.get(t) or (0, self._unit)
+        body = self._extend(body, vals, t, L)
+        if store is not None:
+            store[t] = m, body
+        if self.e > 1:
+            return self.add_row(self.row(body, vals[t]))
+        ncols, width = self.ncols, self._width
+        top = body if self.mode == "each" else body[self.k]
+        c, row = self.reduce(top << width | vals[t])
+        if c == ncols:
+            return not row
+        v = row >> (ncols - c) * width
+        if v != 1:  # p > 2
+            p, x = self.p, self.f.inv(v) * row
+            row = x - p * ((x * self._magic >> self._shift) & self._low)
+        self.basis[c] = [row]
         return True
 
     def solution(self) -> list[int]:

@@ -53,6 +53,8 @@ class _SpanSystem(PackedVectors):
     rejected row has updated some levels.
     """
 
+    store = None  # no row store (_PackedSystem.feed): rows come from windows
+
     def __init__(self, field: Field, m: int, k: int, mode: str, rows: int):
         self.f = field
         self.m, self.k, self.mode = m, k, mode
@@ -138,6 +140,10 @@ class _SpanSystem(PackedVectors):
                 self._grow(self.levels[j + 1], nb, lv.mons[c], d, coeffs)
             parents = sum(map(lshift, bvals, spread))
         return True
+
+    def feed(self, vals, t: int) -> bool:
+        """add of the equation of target t, vals[t - m:t] -> vals[t]."""
+        return self.add(vals[t - self.m:t], vals[t])
 
     def exponents(self, cols) -> list[tuple[int, ...]]:
         """The monomials of the given positions of the last level's basis."""

@@ -1,14 +1,17 @@
 """Packed rows extended per target instead of rebuilt per length.
 
 The row of target t at feedback length m is its row at any shorter
-length L with the variables L..m - 1 on top, one _PackedSystem._extend
-step each, and the steps of a shorter system are those of a longer one.
-So a search keeps the longest body built for each target and extends it
-(complexity._add).  Checked here: every extension equals build_row's row
-bit for bit, in both modes and bases, over prime and extension fields,
-on windows with zeros; a search with the store gives the profile, the
-witness and the systems of one that builds every row from its window;
-and the store is gone once the search returns.
+length L with the variables L..m - 1 on top, and the blocks a shorter
+system places are those a longer one places.  So a packed system keeps
+the longest body built for each target in its store, extends it in
+feed, and the search hands the store to the next length's system
+(complexity._search).  Checked here: every extension of a stored body
+equals build_row's row bit for bit, and leaves the system build_row's
+row would, in both modes and bases, over prime and extension fields, on
+windows with zeros, and build_row's row holds the monomials' values; a
+search with the store gives the profile, the witness and the systems of
+one that builds every row from its window; and the store is gone once
+the search returns.
 """
 
 import random
@@ -38,35 +41,55 @@ def longest(q, k, mode):
     return m
 
 
+def monomial_row(system, window, target):
+    """The entries of the row of window -> target, monomial by monomial."""
+    f = system.f
+    out = []
+    for exps in system.exponents(range(system.ncols)):
+        term = 1
+        for v, e in zip(window, exps):
+            term = f.mul(term, f.pow(v, e))
+        out.append(term)
+    return out + [target]
+
+
 def test_extending_a_shorter_body_gives_the_row_built_from_scratch():
     for q in FIELDS:
         f = field_of_order(q)
         for k in (1, 2):
             for mode, lagrange in KINDS:
                 top = longest(q, k, mode)
-                systems = [cx._PackedSystem(f, m, k, mode, lagrange)
-                           for m in range(1, top + 1)]
                 vals = with_zeros(q, top + 40, q * 10 + k)
                 for t in range(top, len(vals)):
-                    # bodies[L]: the body of vals[t - L:t], each variable
-                    # added by the shortest system that has it
-                    bodies = [systems[0].unit()]
-                    for L, system in enumerate(systems):
-                        bodies.append(system._extend(bodies[-1], vals[t - 1 - L], L))
-                    for m, system in enumerate(systems, 1):
-                        want = system.build_row(vals[t - m:t], vals[t])
-                        where = (q, k, mode, lagrange, m, vals[t - m:t + 1])
-                        assert system.row(bodies[m], vals[t]) == want, where
+                    # stored[L]: the store entry of t that a length-L
+                    # system's feed leaves, from no stored body
+                    stored = [None]
+                    for L in range(1, top + 1):
+                        system = cx._PackedSystem(f, L, k, mode, lagrange, store={})
+                        system.feed(vals, t)
+                        stored.append(system.store[t])
+                        assert stored[L][0] == L
+                    for m in range(1, top + 1):
+                        window, target = vals[t - m:t], vals[t]
+                        ref = cx._PackedSystem(f, m, k, mode, lagrange)
+                        want = ref.build_row(window, target)
+                        ok = ref.add(window, target)
+                        if not lagrange and t < top + 3:
+                            assert [ref.entry(want, c) for c in range(ref.ncols + 1)] == \
+                                monomial_row(ref, window, target), (q, k, mode, window)
                         for L in range(m):
-                            body = bodies[L]
-                            for j in range(L, m):
-                                body = system._extend(body, vals[t - 1 - j], j)
-                            assert system.row(body, vals[t]) == want, where + (L,)
+                            system = cx._PackedSystem(f, m, k, mode, lagrange, store={
+                                t: stored[L]} if L else {})
+                            where = (q, k, mode, lagrange, m, L, vals[t - m:t + 1])
+                            assert system.feed(vals, t) == ok, where
+                            assert system.basis == ref.basis, where
+                            length, body = system.store[t]
+                            assert length == m and system.row(body, target) == want, where
 
 
-def from_scratch(system, vals, t, m, bodies):
-    """_add with no store: every row built from its window."""
-    return system.add(vals[t - m:t], vals[t])
+def from_scratch(system, vals, t):
+    """feed with no store: every row built from its window."""
+    return system.add(vals[t - system.m:t], vals[t])
 
 
 def searches(q):
@@ -89,13 +112,14 @@ def results(s, k):
 
 
 def test_search_with_the_store_matches_rows_built_from_scratch(monkeypatch):
-    made = []
+    made, handed = [], []
     real = cx._new_system
 
     def recording(*args):
         system = real(*args)
         made.append((type(system).__name__, system.m, system.ncols,
                      getattr(system, "monomial", None)))
+        handed.append(bool(system.store))  # a shorter system's bodies taken over
         return system
 
     monkeypatch.setattr(cx, "_new_system", recording)
@@ -105,7 +129,7 @@ def test_search_with_the_store_matches_rows_built_from_scratch(monkeypatch):
             made.clear()
             got, systems = results(s, k), made[:]
             with monkeypatch.context() as mp:
-                mp.setattr(cx, "_add", from_scratch)
+                mp.setattr(cx._PackedSystem, "feed", from_scratch)
                 made.clear()
                 assert results(s, k) == got, (q, k, s.values)
                 assert made == systems, (q, k, s.values)
@@ -113,6 +137,7 @@ def test_search_with_the_store_matches_rows_built_from_scratch(monkeypatch):
     # both bases, and span systems after packed ones in one search
     assert kinds == {("_PackedSystem", True), ("_PackedSystem", False),
                      ("_SpanSystem", None)}, kinds
+    assert any(handed)
 
 
 def test_the_store_is_freed_when_the_search_returns():
@@ -129,3 +154,15 @@ def test_the_store_is_freed_when_the_search_returns():
     # what is left is the interpreter's free lists, a few small objects
     assert peak - base > 200_000, peak - base
     assert after - base < 4_096, after - base
+
+
+def test_a_witness_system_fed_once_keeps_no_store(monkeypatch):
+    # the window scan decides max-order complexity, so the witness system
+    # is built at the final length and fed each target once
+    made = []
+    real = cx._new_system
+    monkeypatch.setattr(cx, "_new_system", lambda *args: made.append(real(*args)) or made[-1])
+    s = random_sequence(field_of_order(3), 60, 1)
+    rep = cx.max_order_complexity(s)
+    assert rep.witness.replay(s.field, s.values, len(s)) == s.values
+    assert [(type(x).__name__, x.store) for x in made] == [("_PackedSystem", None)]

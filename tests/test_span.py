@@ -205,8 +205,8 @@ def test_packed_choice_matches_span_systems(q, count, monkeypatch):
     picked = []
     new_system = cx._new_system
 
-    def recording(field, m, k, mode, limit, rows, lagrange):
-        system = new_system(field, m, k, mode, limit, rows, lagrange)
+    def recording(field, m, k, mode, limit, rows, lagrange, store=None):
+        system = new_system(field, m, k, mode, limit, rows, lagrange, store)
         picked.append(isinstance(system, cx._PackedSystem) and
                       system.ncols > m * (min(k, q - 1) + 1) * rows)
         return system
@@ -218,7 +218,7 @@ def test_packed_choice_matches_span_systems(q, count, monkeypatch):
         assert rep.witness.replay(field, s.values, 96) == s.values
         got.append((cx.profile(s, k, "nk"), rep.value))
     assert any(picked)  # some packed system holds more columns than a span one
-    monkeypatch.setattr(cx, "_new_system", lambda field, m, k, mode, limit, rows, lagrange:
-                        cx._SpanSystem(field, m, k, mode, rows))
+    monkeypatch.setattr(cx, "_new_system", lambda field, m, k, mode, limit, rows, lagrange,
+                        store=None: cx._SpanSystem(field, m, k, mode, rows))
     for (s, k), (prof, value) in zip(cases, got):
         assert cx.profile(s, k, "nk") == prof and prof[-1] == value
