@@ -70,16 +70,9 @@ def monomial_exponents(m: int, k: int, mode: str,
     cap = k if per_var is None else min(k, per_var)
     if mode == "each":
         return list(itertools.product(range(cap + 1), repeat=m))
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple, rest: int, budget: int):
-        if rest == 0:
-            out.append(prefix)
-            return
-        for e in range(min(cap, budget) + 1):
-            rec(prefix + (e,), rest - 1, budget - e)
-
-    rec((), m, k)
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(m):  # each prefix, in order, extended by each exponent in range
+        out = [x + (e,) for x in out for e in range(min(cap, k - sum(x)) + 1)]
     return out
 
 
@@ -168,14 +161,12 @@ class PackedVectors:
             cell |= d << i * w
         return cell
 
-    def axpy(self, row: int, a: int, b: int) -> int:
-        """row + a * b."""
-        x = a * b if self.e == 1 else self._times(a, self._powers(b))
-        return row ^ x if self.p == 2 else self._mod(row + x)
-
     def scaled(self, row: int, a: int) -> int:
         """a * row, a nonzero."""
-        return row if a == 1 else self.axpy(0, a, row)
+        if a == 1:
+            return row
+        x = a * row if self.e == 1 else self._times(a, self._powers(row))
+        return x if self.p == 2 else self._mod(x)
 
     def entry(self, row: int, c: int) -> int:
         """The field element in column c of row."""
@@ -292,9 +283,10 @@ class _PackedSystem(PackedVectors):
 
     A row is a packed vector (PackedVectors) with one cell per column,
     column c in cell ncols - c and the augmented entry in cell 0, whose
-    slots hold e products.  entry, put and basis take column indices.  A
-    row is eliminated against the pivot rows from its top cell down and
-    stored scaled to 1 at its pivot, so the pivots are the lex-first
+    slots hold e products.  entry, put and basis take column indices.
+    An equation enters by feed alone.  reduce eliminates its row against
+    the pivot rows from the top cell down and scales it to 1 at its pivot,
+    the one place a pivot row is scaled, so the pivots are the lex-first
     columns, and a pivot row has no cell above its pivot.  Each pivot row
     b is stored with its multiples x**i * b, i < e, so that clearing a
     column whose digits are d_i adds sum_i (p - d_i) * x**i * b: F_p work
@@ -432,11 +424,12 @@ class _PackedSystem(PackedVectors):
         monomial's cell, extended by the whole window."""
         return self.row(self._extend(self._unit, window, len(window), 0), target)
 
-    def reduce(self, row: int) -> tuple[int, int]:
-        """(c, row): row eliminated against the pivot rows, from its top
-        cell down, up to its first nonzero column c that has no pivot row;
-        c is ncols when every monomial column reduces to zero.  The top
-        nonzero cell is the only one left by shifting it to bit 0."""
+    def reduce(self, row: int) -> tuple[int, int, int]:
+        """(c, row, r): row eliminated against the pivot rows, from its top
+        cell down, up to its first nonzero column c that has no pivot row,
+        then scaled to 1 there by r; c is ncols, row unscaled and r = 1
+        when every monomial column reduces to zero.  The top nonzero cell
+        is the only one left by shifting it to bit 0."""
         basis = self.basis
         p, w, ncols, width, slot, magic, shift, low = self._elim
         if width == 1:  # F_2: the pivot is the top set bit, its entry 1
@@ -444,18 +437,23 @@ class _PackedSystem(PackedVectors):
                 c = ncols + 1 - row.bit_length()
                 b = basis.get(c)
                 if b is None:
-                    return c, row
+                    return c, row, 1
                 row ^= b[0]
-            return ncols, row
+            return ncols, row, 1
         while True:
             at = (row.bit_length() - 1) // width
             if at < 1:  # zero, or only the augmented cell is left
-                return ncols, row
-            mults = basis.get(ncols - at)
+                return ncols, row, 1
+            v, mults = row >> at * width, basis.get(ncols - at)
             if mults is None:
-                return ncols - at, row
+                if v == 1:
+                    return ncols - at, row, 1
+                r = self.f.inv(v if w == width or p == 2 else self._value(v))
+                if w == width:  # e = 1, p > 2: scaled, inline
+                    x = r * row
+                    return ncols - at, x - p * ((x * magic >> shift) & low), r
+                return ncols - at, self.scaled(row, r), r
             # -(sum_i d_i x**i) * b is sum_i (p - d_i) * (x**i * b)
-            v = row >> at * width
             if p == 2:
                 for b in mults:
                     if v & 1:
@@ -477,41 +475,22 @@ class _PackedSystem(PackedVectors):
         its multiples by x**i; deleting basis[c] undoes it."""
         self.basis[c] = self._powers(row)
 
-    def add(self, window, target: int) -> bool:
-        return self.add_row(self.build_row(window, target))
-
-    def add_row(self, row: int) -> bool:
-        """Whether the system stays consistent with row: row is eliminated
-        and, unless its columns all reduce to zero, stored as a pivot row."""
-        c, row = self.reduce(row)
-        if c == self.ncols:
-            return not row
-        v = self.entry(row, c)
-        self.install(c, row if v == 1 else self.scaled(row, self.f.inv(v)))
-        return True
-
     def feed(self, vals, t: int) -> bool:
-        """add of the equation of target t, vals[t - m:t] -> vals[t], whose
-        body extends and replaces store[t] = (L, body) if there is a store.
-        At e = 1 the row is eliminated and scaled by its pivot cell's
-        inverse here."""
-        store, m = self.store, self.m
+        """Whether the system stays consistent with the equation of target
+        t, vals[t - m:t] -> vals[t]: its row is eliminated and, unless its
+        columns all reduce to zero, stored as a pivot row.  Its body
+        extends and replaces store[t] = (L, body) if there is a store."""
+        store, m, e = self.store, self.m, self.e
         L, body = store is not None and store.get(t) or (0, self._unit)
         body = self._extend(body, vals, t, L)
         if store is not None:
             store[t] = m, body
-        if self.e > 1:
-            return self.add_row(self.row(body, vals[t]))
-        ncols, width = self.ncols, self._width
         top = body if self.mode == "each" else body[self.k]
-        c, row = self.reduce(top << width | vals[t])
-        if c == ncols:
+        c, row, _ = self.reduce(top << self._width | (
+            vals[t] if e == 1 else self._cell_of(vals[t])))
+        if c == self.ncols:
             return not row
-        v = row >> (ncols - c) * width
-        if v != 1:  # p > 2
-            p, x = self.p, self.f.inv(v) * row
-            row = x - p * ((x * self._magic >> self._shift) & self._low)
-        self.basis[c] = [row]
+        self.basis[c] = [row] if e == 1 else self._powers(row)
         return True
 
     def solution(self) -> list[int]:

@@ -49,7 +49,7 @@ class _SpanSystem(PackedVectors):
     per col or block).  Below 64 rows a slot holds 64 products, so each
     combine reduces once; above, 8, which keeps the vectors narrower.
     ncols is the most candidate columns the system holds for `rows` rows.
-    It takes no more rows, nor any after add() returns False, since the
+    It takes no more rows, nor any after feed() returns False, since the
     rejected row has updated some levels.
     """
 
@@ -87,7 +87,9 @@ class _SpanSystem(PackedVectors):
                      repeat(self._chunk))
         lv.cols = list(map(or_, lv.cols, map(lshift, chunks, repeat(at[K * i + 1]))))
 
-    def add(self, window, target: int) -> bool:
+    def feed(self, vals, t: int) -> bool:
+        """Whether the targets stay in the span of the monomial columns
+        with the equation of target t, vals[t - m:t] -> vals[t]."""
         if self.fed in (None, self.rows):
             raise ValueError(f"a span system takes {self.rows} rows, none after a rejected one")
         self.fed += 1
@@ -97,17 +99,17 @@ class _SpanSystem(PackedVectors):
         spread = at[1::K]  # parent i's value goes to cell K * i + 1
         parents = 1 << width  # the empty monomial's value, 1, in cell 1
         for j, lv in enumerate(self.levels):
-            v = window[j]  # v**e in cell e
+            v = vals[t - self.m + j]  # v**e in cell e
             pw = powers.get(v) or powers.setdefault(
                 v, sum(self.put(0, e, self.f.pow(v, e)) for e in range(K)))
             # candidate K * i + e's value: parent i's times v**e
-            vals = mod(parents * pw) if simple else muladd([0], [parents], pw)[0]
-            bvals = [vals >> at[c + 1] & cell for c in lv.basis]
+            cands = mod(parents * pw) if simple else muladd([0], [parents], pw)[0]
+            bvals = [cands >> at[c + 1] & cell for c in lv.basis]
             free = lv.free
             if j == last:
-                vals = self.put(vals, 0, target)
+                cands = self.put(cands, 0, vals[t])
             # minus the residuals; the pivot: the first free one of lowest degree
-            res = self.combine(bvals + [minus], lv.cols + [vals]) if free or j == last else 0
+            res = self.combine(bvals + [minus], lv.cols + [cands]) if free or j == last else 0
             for d in sorted(free):
                 low = res & free[d]
                 if low:
@@ -135,15 +137,11 @@ class _SpanSystem(PackedVectors):
             if not free[d]:
                 del free[d]
             basis.append(c)
-            bvals.append(vals >> at[c + 1] & cell)
+            bvals.append(cands >> at[c + 1] & cell)
             if j < last:
                 self._grow(self.levels[j + 1], nb, lv.mons[c], d, coeffs)
             parents = sum(map(lshift, bvals, spread))
         return True
-
-    def feed(self, vals, t: int) -> bool:
-        """add of the equation of target t, vals[t - m:t] -> vals[t]."""
-        return self.add(vals[t - self.m:t], vals[t])
 
     def exponents(self, cols) -> list[tuple[int, ...]]:
         """The monomials of the given positions of the last level's basis."""

@@ -109,7 +109,7 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
     weighted total passes budget.
     """
     field = field_of_order(q)
-    neg, mul, add, inv = field.neg, field.mul, field.add, field.inv
+    neg, mul, add = field.neg, field.mul, field.add
     if _full_function_space(field, k, "each"):
         system, store = None, {}
     else:
@@ -133,12 +133,9 @@ def _walk(q: int, k: int, n: int, m: int, budget: int,
                 branch = t is None
                 row = iv = None
             else:
-                key, row = reduce(build(vals[L - m:L], 0))
+                key, row, iv = reduce(build(vals[L - m:L], 0))
                 branch = key < ncols
-                if branch:
-                    iv = inv(entry(row, key))
-                    row = system.scaled(row, iv)
-                else:
+                if not branch:
                     t = neg(entry(row, ncols))
             if L + 1 == n:  # the children are leaves
                 leaves = q if branch else 1

@@ -33,7 +33,7 @@ def cold_search(field, vals, k, mode):
         return 0, None
     for m in range(1, n):
         system = cx._new_system(field, m, k, mode, cx.DEFAULT_MAX_MONOMIALS, n - m)
-        if all(system.add(vals[i:i + m], vals[i + m]) for i in range(n - m)):
+        if all(system.feed(vals, t) for t in range(m, n)):
             return m, system
     return 1, None
 

@@ -114,15 +114,15 @@ def rows_agree(f, vals, k, m):
     mono = cx._PackedSystem(f, m, k, "each")
     assert mono.monomial and not lag.monomial
     for i in range(len(vals) - m):
-        window, target = vals[i:i + m], vals[i + m]
+        window = vals[i:i + m]
         forced = []
         for system in (lag, mono):
-            c, row = system.reduce(system.build_row(window, 0))
+            c, row, _ = system.reduce(system.build_row(window, 0))
             dependent = c == system.ncols
             forced.append(system.entry(row, system.ncols) if dependent else None)
         assert forced[0] == forced[1], (f.q, vals, k, m, i)
-        ok = lag.add(window, target)
-        assert ok == mono.add(window, target), (f.q, vals, k, m, i)
+        ok = lag.feed(vals, i + m)
+        assert ok == mono.feed(vals, i + m), (f.q, vals, k, m, i)
         assert len(lag.basis) == len(mono.basis), (f.q, vals, k, m, i)
         if not ok:
             return

@@ -75,6 +75,9 @@ class ListSystem:
         self.basis[c] = [self.f.mul(iv, x) for x in row]
         return True
 
+    def feed(self, vals, t):
+        return self.add(vals[t - self.m:t], vals[t])
+
     def solution(self):
         f = self.f
         sol = [0] * self.ncols
@@ -119,8 +122,8 @@ def packed_vs_oracle(field, vals, k, mode, max_columns=None):
             window, target = vals[i:i + m], vals[i + m]
             assert unpack(packed, packed.build_row(window, target), slots) == \
                 oracle.build_row(window, target), (field.q, vals, k, mode, m, i)
-            ok = packed.add(window, target)
-            assert ok == oracle.add(window, target), (field.q, vals, k, mode, m, i)
+            ok = packed.feed(vals, i + m)
+            assert ok == oracle.feed(vals, i + m), (field.q, vals, k, mode, m, i)
             if not ok:
                 break
             rows += 1
@@ -177,22 +180,20 @@ def test_slot_arithmetic_matches_field():
                 a = rng.randrange(q)
                 r = [rng.randrange(q) for _ in range(slots)]
                 b = [rng.randrange(q) for _ in range(slots)]
-            row = pack(system, r)
-            row = system.axpy(row, a, pack(system, b))
+            # r + a * b, a * b from the digits of a's cell times x**i * b
+            row = system.muladd([pack(system, r)], [system._cell_of(a)], pack(system, b))[0]
             assert unpack(system, row, slots) == \
                 [f.add(x, f.mul(a, y)) for x, y in zip(r, b)], (q, trial)
-            # the pivot is the lowest nonzero column; normalising scales it to 1
+            if a:
+                assert unpack(system, system.scaled(pack(system, b), a), slots) == \
+                    [f.mul(a, y) for y in b], (q, trial)
+            # the pivot is the lowest nonzero column; reduce scales it to 1
             lead = rng.randrange(slots - 1)
             r = [0] * lead + [rng.randrange(1, q)] + \
                 [rng.randrange(q) for _ in range(slots - lead - 1)]
-            row = pack(system, r)
-            c, row = system.reduce(row)
-            assert c == lead
-            v = system.entry(row, lead)
-            assert v == r[lead]
-            iv = f.inv(v)
-            assert unpack(system, system.scaled(row, iv), slots) == \
-                [f.mul(iv, x) for x in r]
+            c, row, iv = system.reduce(pack(system, r))
+            assert c == lead and iv == f.inv(r[lead]), (q, trial)
+            assert unpack(system, row, slots) == [f.mul(iv, x) for x in r], (q, trial)
         # the multiply-shift reduction is exact up to the largest slot value
         if f.p > 2:
             biggest = (f.p - 1) * (1 + f.e * (f.p - 1))
@@ -230,7 +231,7 @@ def test_pivot_rows_stored_with_their_multiples():
         # each step clears the row's lowest nonzero column for good
         system.basis = CountedBasis(12 * slots)
         for _ in range(12):
-            system.add([rng.randrange(q) for _ in range(3)], rng.randrange(q))
+            system.feed([rng.randrange(q) for _ in range(4)], 3)
         assert system.basis, q
         for c, mults in system.basis.items():
             assert len(mults) == f.e
@@ -241,17 +242,22 @@ def test_pivot_rows_stored_with_their_multiples():
                     [f.mul(f.p ** i, x) for x in b], (q, c, i)
 
 
-def traced_peak(run):
-    """The peak of the memory that tracemalloc sees allocated by run()."""
+def traced(run):
+    """(left, peak): the memory that tracemalloc sees allocated by run() and
+    still held when it returns, and the most held while it ran."""
     tracemalloc.start()
     try:
         run()
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
 
 def test_large_fields_build_rows_and_allocate_no_field_sized_table():
+    # one entry per field element would take 8 bytes * q alone.  A first
+    # run fills the caches keyed by system shape, so what it leaves held
+    # shows a cached table; the peak of a second run, which meets those
+    # caches warm, shows a transient one
     rng, seqs = random.Random(11), random.Random(12)
     for q in (65521, 2 ** 16, 3 ** 10):
         f = field_of_order(q)  # the field's own tables are built here
@@ -261,20 +267,19 @@ def test_large_fields_build_rows_and_allocate_no_field_sized_table():
             for k, mode in ((2, "each"), (3, "total")):
                 packed_vs_oracle(f, vals, k, mode, max_columns=64)
 
-        # one entry per field element would take 8 bytes * q alone
-        peak = traced_peak(against_oracle)
-        assert peak < q, (q, peak)
+        left, peak = traced(against_oracle)[0], traced(against_oracle)[1]
+        assert left < q and peak < q, (q, left, peak)
         # a packed system keeps no state per multiplier it has seen, so
         # many rows with many distinct entries cost no more
         seq = [seqs.randrange(q) for _ in range(200)]
 
         def packed_only():
             system = cx._PackedSystem(f, 2, 2, "each")
-            for i in range(198):
-                system.add(seq[i:i + 2], seq[i + 2])
+            for t in range(2, 200):
+                system.feed(seq, t)
 
-        peak = traced_peak(packed_only)
-        assert peak < q, (q, peak)
+        left, peak = traced(packed_only)[0], traced(packed_only)[1]
+        assert left < q and peak < q, (q, left, peak)
 
 
 def test_column_guard_trips_before_any_row_layout():
@@ -290,7 +295,7 @@ def test_column_guard_trips_before_any_row_layout():
             except cx.GuardExceeded as err:
                 errors.append((err.what, err.size, err.limit))
 
-    assert traced_peak(build) < 64 * 1024
+    assert traced(build)[1] < 64 * 1024
     assert errors == [("monomial set", 2 ** 21, 2 ** 20)] * 2
     # the guard is inclusive, in both modes
     assert cx._PackedSystem(f, 3, 2, "total", False, 10).ncols == 10

@@ -5,8 +5,9 @@ row's pivot is its top nonzero cell, read from its bit length.  Checked
 here after random rows have been fed, over F_2, F_3, F_4 and F_25, in both
 degree modes and in both bases: no pivot row or stored multiple has a cell
 above its pivot, and reduce returns the column of the top nonzero cell it
-leaves.  The solver is looked up in the modules that import it, so a
-patched complexity._PackedSystem or stats._PackedSystem is the one used.
+leaves, the row scaled to 1 there and the inverse it scaled by.  The
+solver is looked up in the modules that import it, so a patched
+complexity._PackedSystem or stats._PackedSystem is the one used.
 """
 
 import random
@@ -17,7 +18,7 @@ import nlcx.complexity as cx
 import nlcx.stats as stats
 from nlcx.finite_field import field_of_order
 from nlcx.packed import _PackedSystem
-from test_packed import CountedBasis
+from test_packed import CountedBasis, pack, unpack
 
 # (mode, lagrange): the Lagrange basis exists in "each" mode only
 BASES = (("each", False), ("each", True), ("total", False))
@@ -38,7 +39,7 @@ def fed_systems(q, mode, lagrange, seed):
         # each step clears the row's top nonzero cell for good
         system.basis = CountedBasis((3 * system.ncols + 30) * (system.ncols + 1))
         for _ in range(3 * system.ncols):
-            system.add([rng.randrange(q) for _ in range(m)], rng.randrange(q))
+            system.feed([rng.randrange(q) for _ in range(m + 1)], m)
         yield system, rng
 
 
@@ -64,19 +65,28 @@ def test_reduce_returns_the_top_nonzero_cell(q, mode, lagrange):
         for _ in range(20):
             window = [rng.randrange(q) for _ in range(system.m)]
             row = system.build_row(window, rng.randrange(q))
-            # a fresh system keeps the row and stops at its top cell
-            assert empty.reduce(row) == (top_column(empty, row), row)
-            c, left = system.reduce(row)
+            # a fresh system stops at the row's top cell and scales the
+            # row to 1 there
+            c, left, r = empty.reduce(row)
+            assert c == top_column(empty, row) == top_column(empty, left)
+            assert unpack(empty, left, ncols + 1) == \
+                [f.mul(r, x) for x in unpack(empty, row, ncols + 1)]
+            assert r == (1 if c == ncols else f.inv(empty.entry(row, c)))
+            c, left, r = system.reduce(row)
             assert c == top_column(system, left) and c not in system.basis
             if c == ncols:
-                assert left.bit_length() <= system._width
-        # a row whose top nonzero cell has no pivot row comes back as it is
+                assert left.bit_length() <= system._width and r == 1
+            else:
+                assert system.entry(left, c) == 1 and r != 0
+        # a row whose top nonzero cell has no pivot row comes back scaled
+        # by the inverse of that cell's entry
         free = [c for c in range(ncols) if c not in system.basis]
         for c in free[:5]:
-            row = system.put(0, c, rng.randrange(1, q))
-            for d in range(c + 1, ncols + 1):
-                row = system.put(row, d, rng.randrange(q))
-            assert system.reduce(row) == (c, row)
+            elems = [0] * c + [rng.randrange(1, q)] + \
+                [rng.randrange(q) for _ in range(ncols - c)]
+            iv = f.inv(elems[c])
+            assert system.reduce(pack(system, elems)) == \
+                (c, pack(system, [f.mul(iv, x) for x in elems]), iv)
 
 
 def test_patched_solver_is_the_one_built(monkeypatch):

@@ -73,7 +73,7 @@ def test_extending_a_shorter_body_gives_the_row_built_from_scratch():
                         window, target = vals[t - m:t], vals[t]
                         ref = cx._PackedSystem(f, m, k, mode, lagrange)
                         want = ref.build_row(window, target)
-                        ok = ref.add(window, target)
+                        ok = ref.feed(vals, t)
                         if not lagrange and t < top + 3:
                             assert [ref.entry(want, c) for c in range(ref.ncols + 1)] == \
                                 monomial_row(ref, window, target), (q, k, mode, window)
@@ -89,7 +89,10 @@ def test_extending_a_shorter_body_gives_the_row_built_from_scratch():
 
 def from_scratch(system, vals, t):
     """feed with no store: every row built from its window."""
-    return system.add(vals[t - system.m:t], vals[t])
+    c, row, _ = system.reduce(system.build_row(vals[t - system.m:t], vals[t]))
+    if c < system.ncols:
+        system.install(c, row)
+    return c < system.ncols or not row
 
 
 def searches(q):

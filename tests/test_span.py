@@ -29,7 +29,7 @@ def rows_accepted(system, vals, m):
     """Rows the system accepts before the first it rejects.  A length-m map
     fits the prefix of length n exactly when this is >= n - m."""
     for i in range(len(vals) - m):
-        if not system.add(vals[i:i + m], vals[i + m]):
+        if not system.feed(vals, i + m):
             return i
     return len(vals) - m
 

@@ -187,17 +187,17 @@ def feed_both(field, vals, m, k, mode):
     scalar = ScalarSpanSystem(field, m, k, mode, rows)
     for i in range(rows):
         window, target = vals[i:i + m], vals[i + m]
-        ok = packed.add(window, target)
+        ok = packed.feed(vals, i + m)
         where = (field.q, vals, m, k, mode, i)
         assert ok == scalar.add(window, target), where
         assert bases(packed) == bases(scalar), where
         assert packed.solution() == scalar.target, where
         if not ok:
             with pytest.raises(ValueError, match="none after a rejected one"):
-                packed.add(window, target)
+                packed.feed(vals, i + m)
             return i
     with pytest.raises(ValueError, match=f"takes {rows} rows"):
-        packed.add(vals[:m], vals[m])
+        packed.feed(vals, m)
     assert packed.exponents(range(len(packed.solution()))) == \
         scalar.exponents(range(len(scalar.target)))
     return rows
@@ -223,7 +223,7 @@ def test_spent_system_refuses_rows():
     # take another; a caller that tries gets an error, not a wrong answer
     field = field_of_order(5)
     system = cx._SpanSystem(field, 1, 1, "each", 4)
-    assert system.add([1], 2) and system.add([2], 3)
-    assert not system.add([1], 4)  # x = 1 was followed by 2 before
+    assert system.feed([1, 2], 1) and system.feed([2, 3], 1)
+    assert not system.feed([1, 4], 1)  # x = 1 was followed by 2 before
     with pytest.raises(ValueError, match="none after a rejected one"):
-        system.add([3], 4)
+        system.feed([3, 4], 1)

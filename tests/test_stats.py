@@ -212,7 +212,7 @@ def test_count_column_guard_trips_when_the_walk_builds_its_system(monkeypatch):
     # bound out of the way the walk's own system refuses 2**21 columns
     # when it is built, before any mask or root (roots are stubbed out, so
     # a walk without the guard ends at once instead of running for hours)
-    from test_packed import traced_peak
+    from test_packed import traced
     monkeypatch.setattr(stats, "_counting_bound", lambda q, k, m: 0)
     monkeypatch.setattr(stats, "_orbit_roots", lambda *args: iter(()))
     walks, walk = [], stats._walk
@@ -225,7 +225,7 @@ def test_count_column_guard_trips_when_the_walk_builds_its_system(monkeypatch):
         except cx.GuardExceeded as err:
             errors.append((err.what, err.size, err.limit))
 
-    assert traced_peak(count) < 64 * 1024
+    assert traced(count)[1] < 64 * 1024
     assert errors == [("monomial set", 2 ** 21, 2 ** 20)]
     assert len(walks) == 1
 
