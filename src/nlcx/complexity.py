@@ -14,7 +14,9 @@ field, with no field multiplication per step; over F_2 a row is a
 bitmask.  A row is built one variable at a time from the last up, so a
 longer length's row extends a shorter one's: a packed system keeps each
 target's row and the search hands that store to the next length's
-system, which extends it instead of rebuilding it (_search).  Two
+system, which extends it instead of rebuilding it (_search).  Likewise
+a span system at m is lengthened to m + 1 in place, and each row it
+carries runs only the new level (_SpanSystem.lengthen).  Two
 degree regimes are supported: degree at most k in every variable
 separately ("each"), and total degree at most k ("total").  Linear
 complexity is computed by Berlekamp-Massey.
@@ -111,7 +113,9 @@ def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int,
     system (q > 2) when the monomials outnumber its candidate columns and
     also cost more, else the packed system, in the Lagrange basis if
     lagrange, which keeps its rows' bodies in store if given one
-    (_PackedSystem.feed); max_monomials bounds the columns built.  A
+    (_PackedSystem.feed); max_monomials bounds the columns built.  A span
+    system at m - 1 handed in as store is lengthened rather than a new
+    one built, and a packed system after a span one gets no store.  A
     packed monomial column is w * e bits of each row, so it is priced in
     64-bit words against one word per span candidate; the span system is
     also used wherever the monomials alone pass max_monomials."""
@@ -119,11 +123,15 @@ def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int,
     ncols = monomial_count(m, k, mode, per_var=q - 1)
     held = m * (min(k, q - 1) + 1) * max(rows, 1)
     bits = _slot_rule(field.p, field.e)[0] * field.e
+    lengthen = getattr(store, "lengthen", None)  # a span system's store is itself
     if q > 2 and ncols > held and (ncols * bits > 64 * held or ncols > max_monomials):
         if held > max_monomials:
             raise GuardExceeded("span candidate columns", held, max_monomials)
+        if lengthen and store.m == m - 1:
+            lengthen(rows)
+            return store
         return _SpanSystem(field, m, k, mode, rows)
-    return _PackedSystem(field, m, k, mode, lagrange, max_monomials, store)
+    return _PackedSystem(field, m, k, mode, lagrange, max_monomials, None if lengthen else store)
 
 
 def _witness_from(system, m: int, k: int, mode: str) -> FeedbackPolynomial:
@@ -176,11 +184,13 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
     system keeps the longest body built for each target, and the
     outgrown system hands that store to the next length's.  The store
     lives for one call, holds one body per target and is dropped once a
-    span system, which keeps none, takes over.  A length at which two
-    equal windows of the prefix are followed by different terms builds
-    no system; the outgrown one is kept until the next is built.  The
-    search stops before the first prefix whose complexity would exceed
-    cap.
+    span system, which keeps none, takes over.  A span system's store is
+    itself: the next length's span system is that one lengthened, and its
+    rows carried over, when the lengths are consecutive
+    (_SpanSystem.lengthen).  A length at which two equal windows of the
+    prefix are followed by different terms builds no system; the
+    outgrown one is kept until the next is built.  The search stops
+    before the first prefix whose complexity would exceed cap.
     Packed "each"-mode systems are built in the Lagrange basis unless a
     witness is wanted: then every system is a monomial one, so the last
     gives the canonical witness.

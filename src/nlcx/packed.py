@@ -82,14 +82,19 @@ def _slot_rule(p: int, products: int) -> tuple[int, int, int]:
     digit plus `products` products of two digits before they are reduced.
     At p = 2 a slot is one bit and addition is xor.  Otherwise a slot's
     value before reduction is at most top; then
-    x - p * ((x * magic) >> shift) is x mod p for every x <= top, since
-    top * (magic * p - 2**shift) < 2**shift, and w fits x * magic."""
+    x - p * ((x * magic) >> shift) is x mod p for every x <= top when
+    top * (magic * p - 2**shift) < 2**shift, w fits x * magic and the
+    quotient fits the w - shift bits under it.  Of the shifts up to
+    bitlen(top * (p - 1)), where that always holds, the least w is kept."""
     if p == 2:
         return 1, 0, 0
-    top = (p - 1) * (1 + products * (p - 1))
-    shift = (top * (p - 1)).bit_length()
-    magic = -(-(1 << shift) // p)
-    return (top * magic).bit_length(), magic, shift
+    top, rules = (p - 1) * (1 + products * (p - 1)), []
+    for shift in range(1, (top * (p - 1)).bit_length() + 1):
+        magic = -(-(1 << shift) // p)
+        w = (top * magic).bit_length()
+        if top * (magic * p - (1 << shift)) < 1 << shift and top // p < 1 << w - shift:
+            rules.append((w, magic, shift))
+    return min(rules)
 
 
 class PackedVectors:

@@ -28,6 +28,7 @@ class _SpanLevel:
         self.cols, self.blocks = [], []  # packed relations, as above
         self.basis: list[int] = []  # candidate indices, in pivot order
         self.free: dict[int, int] = {}  # degree -> cells of its candidates not in the basis
+        self.grows: dict[int, tuple] = {}  # row -> _grow's arguments, due before it (lengthen)
 
 
 class _SpanSystem(PackedVectors):
@@ -49,20 +50,26 @@ class _SpanSystem(PackedVectors):
     per col or block).  Below 64 rows a slot holds 64 products, so each
     combine reduces once; above, 8, which keeps the vectors narrower.
     ncols is the most candidate columns the system holds for `rows` rows.
-    It takes no more rows, nor any after feed() returns False, since the
-    rejected row has updated some levels.
-    """
+    It takes no more rows, nor any after feed() returns False except
+    through lengthen, since the rejected row has updated some levels.
 
-    store = None  # no row store (_PackedSystem.feed): rows come from windows
+    Rows are numbered in the order fed.  Per row, the system records the
+    next level the row has to run and the basis values of the level before
+    at the row (its parents there), and per row the pivot the last level
+    took there, if any: so lengthen carries every row fed on to one more
+    level, which costs a carried row O(r) operations instead of O(m * r).
+    """
 
     def __init__(self, field: Field, m: int, k: int, mode: str, rows: int):
         self.f = field
         self.m, self.k, self.mode = m, k, mode
         self.kcap = min(k, field.q - 1)
         K = self.kcap + 1
-        self.rows = rows = max(rows, 1)
+        self.rows = self._cap = rows = max(rows, 1)
         self.ncols = m * K * rows
         self.fed = 0  # rows fed, None after a rejected one
+        self._track: list[tuple[int, int]] = []  # per row: (next level, its parents)
+        self._joined: dict[int, tuple] = {}  # row -> the last level's pivot, as _grow's arguments
         super().__init__(field, K * rows + 1, max(field.e, 64 if rows < 64 else 8))
         self._at = [c * self._width for c in range(K * rows + 1)]  # cell offsets
         self._chunk = (1 << K * self._width) - 1  # K cells
@@ -71,6 +78,32 @@ class _SpanSystem(PackedVectors):
         self.levels = [_SpanLevel() for _ in range(m)]
         # level 0 grows from the empty monomial, a fixed basis of one
         self._grow(self.levels[0], 0, (), 0, [])
+
+    @property
+    def store(self):
+        """What the search hands the next length's system (_PackedSystem
+        keeps its rows there): this system, which _new_system lengthens."""
+        return self
+
+    def lengthen(self, rows: int):
+        """Make this the system of length m + 1 for `rows` rows in place,
+        to be fed the rows fed so far again, in order, each with its target
+        one term later.  Row i's level j reads term i + j, so levels
+        0..m - 1 keep what they hold: the last becomes an inner level, with
+        no target coefficients, and a new level m is appended, into which
+        the last level's pivots grow at their rows (grows), before the new
+        level takes each.  A row fed again runs only the levels it has not
+        been through.  The vectors keep their cells and product count."""
+        if rows > self._cap:
+            raise ValueError(f"a span system holds {self._cap} rows, not {rows}")
+        last, width = self.levels[-1], self._width
+        last.cols = [col >> width << width for col in last.cols]
+        self.levels.append(_SpanLevel())
+        self.levels[-1].grows, self._joined = self._joined, {}
+        self.m += 1
+        self.rows = max(rows, 1)
+        self.ncols = self.m * (self.kcap + 1) * self.rows
+        self.fed = 0
 
     def _grow(self, lv: _SpanLevel, i: int, mon: tuple, deg: int, rel: list[int]):
         """Add the candidates mon * x_j**e of parent i, whose relation had the
@@ -89,16 +122,23 @@ class _SpanSystem(PackedVectors):
 
     def feed(self, vals, t: int) -> bool:
         """Whether the targets stay in the span of the monomial columns
-        with the equation of target t, vals[t - m:t] -> vals[t]."""
-        if self.fed in (None, self.rows):
+        with the equation of target t, vals[t - m:t] -> vals[t], from the
+        first level this row has not been through (lengthen)."""
+        row, track = self.fed, self._track
+        if row in (None, self.rows):
             raise ValueError(f"a span system takes {self.rows} rows, none after a rejected one")
         self.fed += 1
         at, cell, width, K, last = self._at, self._cell, self._width, self.kcap + 1, self.m - 1
         minus, muladd, mod, powers = self.p - 1, self.muladd, self._mod, self._powers_of
         simple = self.e == 1 and minus > 1
         spread = at[1::K]  # parent i's value goes to cell K * i + 1
-        parents = 1 << width  # the empty monomial's value, 1, in cell 1
-        for j, lv in enumerate(self.levels):
+        if row == len(track):  # a new row; the empty monomial's value, 1, in cell 1
+            track.append((0, 1 << width))
+        start, parents = track[row]  # past level 0 where lengthen carried the row
+        for j in range(start, self.m):
+            lv = self.levels[j]
+            if lv.grows and row in lv.grows:
+                self._grow(lv, *lv.grows.pop(row))
             v = vals[t - self.m + j]  # v**e in cell e
             pw = powers.get(v) or powers.setdefault(
                 v, sum(self.put(0, e, self.f.pow(v, e)) for e in range(K)))
@@ -115,10 +155,11 @@ class _SpanSystem(PackedVectors):
                 if low:
                     break
             else:
+                parents = sum(map(lshift, bvals, spread))
                 if res & cell:  # the target's
+                    track[row] = self.m, parents
                     self.fed = None
                     return False
-                parents = sum(map(lshift, bvals, spread))
                 continue
             c = ((low & -low).bit_length() - 1) // width - 1
             # g = res / pivot's; relations drop g * (pivot's relation - new member)
@@ -140,7 +181,10 @@ class _SpanSystem(PackedVectors):
             bvals.append(cands >> at[c + 1] & cell)
             if j < last:
                 self._grow(self.levels[j + 1], nb, lv.mons[c], d, coeffs)
+            else:
+                self._joined[row] = nb, lv.mons[c], d, coeffs
             parents = sum(map(lshift, bvals, spread))
+        track[row] = self.m, parents
         return True
 
     def exponents(self, cols) -> list[tuple[int, ...]]:

@@ -5,7 +5,9 @@ a column-space system's a digit plus as many products as its
 combinations sum between reductions, and at least e.  For every p <= 257
 and every e with p**e <= 2**16, at each of those counts, the
 multiply-shift must give x mod p for every x up to the largest slot value
-top, and a slot of w bits must hold top * magic.
+top, and a slot of w bits must hold top * magic.  w must be the least
+width of any shift that passes, and never wider than the rule with e
+products, the one a slot had before.
 """
 
 import nlcx.complexity as cx
@@ -14,13 +16,30 @@ from nlcx.packed import _slot_rule
 
 
 def rule_with_e_products(p, e):
-    """The rule as it stood when a slot always held e products."""
+    """The rule as it stood when a slot always held e products, with the
+    shift bitlen(top * (p - 1)); the rule now takes the least width."""
     if p == 2:
         return 1, 0, 0
     top = (p - 1) * (1 + e * (p - 1))
     shift = (top * (p - 1)).bit_length()
     magic = -(-(1 << shift) // p)
     return (top * magic).bit_length(), magic, shift
+
+
+def least_width(p, products):
+    """The least w of any shift at which the multiply-shift is exact on
+    0..top and the quotient fits the mask, searched well past the shift
+    of the rule with e products."""
+    if p == 2:
+        return 1
+    top = (p - 1) * (1 + products * (p - 1))
+    widths = []
+    for shift in range(2 * (top * (p - 1)).bit_length() + 2):
+        magic = -(-(1 << shift) // p)
+        w = (top * magic).bit_length()
+        if top * (magic * p - (1 << shift)) < 1 << shift and top // p < 1 << w - shift:
+            widths.append(w)
+    return min(widths)
 
 
 def test_slot_rule_reduces_every_slot_value():
@@ -34,7 +53,10 @@ def test_slot_rule_reduces_every_slot_value():
     for p in filter(is_prime, range(2, 258)):
         e = 1
         while p ** e <= 1 << 16:
-            assert _slot_rule(p, e) == rule_with_e_products(p, e), (p, e)
+            for products in {e} | {max(count, e) for count in span}:
+                w = _slot_rule(p, products)[0]
+                assert w == least_width(p, products), (p, e, products)
+                assert w <= rule_with_e_products(p, products)[0], (p, e, products)
             for products in {e} | {max(count, e) for count in span}:
                 w, magic, shift = _slot_rule(p, products)
                 if p == 2:  # one-bit slots, added by xor: nothing to reduce
