@@ -33,6 +33,12 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
+# The longest periodic sweep verify runs: above every default length,
+# 3 * d < 3 * 2**15, and at 100,000 terms the cheapest sweep (q = 5, d = 2,
+# --kmax 2) takes 4.2 s and 151 MB, growing with n and with d.
+MAX_SWEEP_LENGTH = 100_000
+
+
 def bound_inversive(n: int, k: int) -> Fraction:
     from fractions import Fraction
     if n < 1:
@@ -120,8 +126,12 @@ def _inversive_sequences(q, **_):
 
 def _periodic_sequences(q, d, periods, n_max, **_):
     field = field_of_order(q)
-    for dd in (admissible_periods(q) if d is None else [d]):
-        n_len = periods * dd if n_max is None else n_max
+    lengths = {dd: periods * dd if n_max is None else n_max
+               for dd in (admissible_periods(q) if d is None else [d])}
+    longest = max(lengths.values(), default=0)
+    if longest > MAX_SWEEP_LENGTH:  # before any term is built
+        raise cx.GuardExceeded("periodic sweep length", longest, MAX_SWEEP_LENGTH)
+    for dd, n_len in lengths.items():
         yield inversive_periodic(field, dd, n_len), {"d": dd}
 
 

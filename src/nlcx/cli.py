@@ -29,6 +29,10 @@ from .hermitian import HermitianCurve, apply_automorphism_to_h
 
 SCHEMA = 1
 
+# The longest sequence gen writes: 10**6 random F_5 terms take 1.8 s and
+# 94 MB, in proportion to the length.
+MAX_GEN_TERMS = 1_000_000
+
 
 def _threads(args) -> int:
     n = args.threads
@@ -108,6 +112,8 @@ def cmd_gen(args) -> int:
         if args.q is None:
             raise ValueError("--q is required for this kind")
         field = _field_from_args(args)
+        if kind != "inversive" and (args.n or 0) > MAX_GEN_TERMS:  # before any term
+            raise cx.GuardExceeded("gen sequence length", args.n, MAX_GEN_TERMS)
         if kind == "inversive":
             seq = inversive_finite(field, a=args.a if args.a is not None else 1)
         elif kind == "periodic":

@@ -12,14 +12,14 @@ row, one cell of base-p digits per column, column 0 in the top cell, so
 a row's pivot comes from its bit length.  It runs the same way over every
 field, with no field multiplication per step; over F_2 a row is a
 bitmask.  A row is built one variable at a time from the last up, so a
-longer length's row extends a shorter one's: a packed system keeps each
-target's row and the search hands that store to the next length's
-system, which extends it instead of rebuilding it (_search).  Likewise
-a span system at m is lengthened to m + 1 in place, and each row it
-carries runs only the new level (_SpanSystem.lengthen).  Two
-degree regimes are supported: degree at most k in every variable
-separately ("each"), and total degree at most k ("total").  Linear
-complexity is computed by Berlekamp-Massey.
+longer length's row extends a shorter one's: the search keeps each
+target's row in one store, which every length's packed system extends
+instead of rebuilding the row (_search).  Likewise the span system at m
+is lengthened to m + 1 in place, and each row it carries runs only the
+new level (_new_system, _SpanSystem.lengthen).  Two degree regimes are
+supported: degree at most k in every variable separately ("each"), and
+total degree at most k ("total").  Linear complexity is computed by
+Berlekamp-Massey.
 
 Which basis: fixed when a system is built.  With no witness wanted,
 "each"-mode elimination runs in the Lagrange basis on the nodes 0..kcap
@@ -108,30 +108,31 @@ class ComplexityReport(NamedTuple):
 
 
 def _new_system(field: Field, m: int, k: int, mode: str, max_monomials: int,
-                rows: int, lagrange: bool = False, store: Optional[dict] = None):
+                rows: int, lagrange: bool = False, store: Optional[dict] = None,
+                outgrown=None):
     """The solver system for length-m maps fed at most `rows` rows: a span
     system (q > 2) when the monomials outnumber its candidate columns and
     also cost more, else the packed system, in the Lagrange basis if
     lagrange, which keeps its rows' bodies in store if given one
-    (_PackedSystem.feed); max_monomials bounds the columns built.  A span
-    system at m - 1 handed in as store is lengthened rather than a new
-    one built, and a packed system after a span one gets no store.  A
-    packed monomial column is w * e bits of each row, so it is priced in
-    64-bit words against one word per span candidate; the span system is
-    also used wherever the monomials alone pass max_monomials."""
+    (_PackedSystem.feed); max_monomials bounds the columns built.  The
+    span system is outgrown, the caller's system at a shorter length, if
+    that is the span system at m - 1: lengthened in place, not rebuilt
+    (_SpanSystem.lengthen).  A packed monomial column is w * e bits of
+    each row, so it is priced in 64-bit words against one word per span
+    candidate; the span system is also used wherever the monomials alone
+    pass max_monomials."""
     q = field.q
     ncols = monomial_count(m, k, mode, per_var=q - 1)
     held = m * (min(k, q - 1) + 1) * max(rows, 1)
     bits = _slot_rule(field.p, field.e)[0] * field.e
-    lengthen = getattr(store, "lengthen", None)  # a span system's store is itself
     if q > 2 and ncols > held and (ncols * bits > 64 * held or ncols > max_monomials):
         if held > max_monomials:
             raise GuardExceeded("span candidate columns", held, max_monomials)
-        if lengthen and store.m == m - 1:
-            lengthen(rows)
-            return store
+        if isinstance(outgrown, _SpanSystem) and outgrown.m == m - 1:
+            outgrown.lengthen(rows)
+            return outgrown
         return _SpanSystem(field, m, k, mode, rows)
-    return _PackedSystem(field, m, k, mode, lagrange, max_monomials, None if lengthen else store)
+    return _PackedSystem(field, m, k, mode, lagrange, max_monomials, store)
 
 
 def _witness_from(system, m: int, k: int, mode: str) -> FeedbackPolynomial:
@@ -180,17 +181,16 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
     target of that prefix, then of each later term (feed, the one call a
     search makes on a system).  Packed rows are extended per target, not
     rebuilt per length: the row of target t at length m is its row at a
-    shorter length with the variables up to m - 1 on top, so a packed
-    system keeps the longest body built for each target, and the
-    outgrown system hands that store to the next length's.  The store
-    lives for one call, holds one body per target and is dropped once a
-    span system, which keeps none, takes over.  A span system's store is
-    itself: the next length's span system is that one lengthened, and its
-    rows carried over, when the lengths are consecutive
-    (_SpanSystem.lengthen).  A length at which two equal windows of the
-    prefix are followed by different terms builds no system; the
-    outgrown one is kept until the next is built.  The search stops
-    before the first prefix whose complexity would exceed cap.
+    shorter length with the variables up to m - 1 on top, so the search
+    keeps a store of the longest body built for each target, which every
+    packed system extends.  It lives for one call and is dropped at the
+    first span system: the monomials' price against the span candidates
+    only grows with m, so no packed system follows a span one.
+    _new_system lengthens the outgrown span system in place, its rows
+    carried over.  A length at which two equal windows of the prefix are
+    followed by different terms builds no system; the outgrown one is
+    kept until the next is built.  The search stops before the first
+    prefix whose complexity would exceed cap.
     Packed "each"-mode systems are built in the Lagrange basis unless a
     witness is wanted: then every system is a monomial one, so the last
     gives the canonical witness.
@@ -199,7 +199,7 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
         return _affine_profile(field, vals, cap), None
     seen = {} if _full_function_space(field, k, mode) else None
     out: list[int] = []
-    m, system = 0, None
+    m, system, store = 0, None, {}
     for idx, v in enumerate(vals):
         if m == 0:
             ok = not v  # the first nonzero term: search from m = 1
@@ -218,9 +218,10 @@ def _search(field: Field, vals, k: int, mode: str, max_monomials: int,
             # equal windows followed by different terms: no map of any
             # degree fits, so no system is built for this m
             elif _windows_consistent(vals, idx + 1, m, {}):
-                # the outgrown system hands on its store, if any, and goes
                 system = _new_system(field, m, k, mode, max_monomials, len(vals) - m,
-                                     not witness, {} if system is None else system.store)
+                                     not witness, store, system)
+                if isinstance(system, _SpanSystem):
+                    store = None
                 ok = all(system.feed(vals, t) for t in range(m, idx + 1))
         out.append(m)
     return out, system

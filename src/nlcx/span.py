@@ -47,8 +47,9 @@ class _SpanSystem(PackedVectors):
     relation in range, and a candidate over the cap is never a pivot and
     holds values that no other reads.  A row costs O(m * r) operations on
     packed vectors of at most (k + 1) * r cells (combine and muladd, one
-    per col or block).  Below 64 rows a slot holds 64 products, so each
-    combine reduces once; above, 8, which keeps the vectors narrower.
+    per col or block).  A slot holds 8 products between reductions, at
+    every length and row count, so a lengthened system and a fresh one
+    share their slot format.
     ncols is the most candidate columns the system holds for `rows` rows.
     It takes no more rows, nor any after feed() returns False except
     through lengthen, since the rejected row has updated some levels.
@@ -70,7 +71,7 @@ class _SpanSystem(PackedVectors):
         self.fed = 0  # rows fed, None after a rejected one
         self._track: list[tuple[int, int]] = []  # per row: (next level, its parents)
         self._joined: dict[int, tuple] = {}  # row -> the last level's pivot, as _grow's arguments
-        super().__init__(field, K * rows + 1, max(field.e, 64 if rows < 64 else 8))
+        super().__init__(field, K * rows + 1, max(field.e, 8))
         self._at = [c * self._width for c in range(K * rows + 1)]  # cell offsets
         self._chunk = (1 << K * self._width) - 1  # K cells
         self._units = ((1 << K * rows * self._width) - 1) // self._chunk * self._cell  # cell K*t
@@ -78,12 +79,6 @@ class _SpanSystem(PackedVectors):
         self.levels = [_SpanLevel() for _ in range(m)]
         # level 0 grows from the empty monomial, a fixed basis of one
         self._grow(self.levels[0], 0, (), 0, [])
-
-    @property
-    def store(self):
-        """What the search hands the next length's system (_PackedSystem
-        keeps its rows there): this system, which _new_system lengthens."""
-        return self
 
     def lengthen(self, rows: int):
         """Make this the system of length m + 1 for `rows` rows in place,
@@ -93,7 +88,8 @@ class _SpanSystem(PackedVectors):
         no target coefficients, and a new level m is appended, into which
         the last level's pivots grow at their rows (grows), before the new
         level takes each.  A row fed again runs only the levels it has not
-        been through.  The vectors keep their cells and product count."""
+        been through.  The vectors keep the cells of the first length,
+        which has the most rows."""
         if rows > self._cap:
             raise ValueError(f"a span system holds {self._cap} rows, not {rows}")
         last, width = self.levels[-1], self._width

@@ -294,6 +294,36 @@ def test_count_bound_guard_before_the_walk(capsys, monkeypatch):
         assert f"guard exceeded: {what}" in err
 
 
+def test_gen_length_guard_before_the_generator(capsys, monkeypatch):
+    import nlcx.cli as cli
+
+    def no_terms(*args, **kwargs):
+        raise AssertionError("the generator ran")
+
+    monkeypatch.setattr(cli, "random_sequence", no_terms)
+    monkeypatch.setattr(cli, "inversive_periodic", no_terms)
+    for argv, n in ((("--kind", "random", "--n", "1000000000"), 1000000000),
+                    (("--kind", "periodic", "--d", "2", "--n", "1000001"), 1000001)):
+        code, out, err = run(capsys, "gen", "--q", "5", *argv)
+        assert code == 2 and out == ""
+        assert f"guard exceeded: gen sequence length: size {n} exceeds guard 1000000" in err
+
+
+def test_verify_periodic_length_guard_before_the_generator(capsys, monkeypatch):
+    import nlcx.bounds as bounds
+
+    def no_terms(*args, **kwargs):
+        raise AssertionError("the generator ran")
+
+    monkeypatch.setattr(bounds, "inversive_periodic", no_terms)
+    for argv, n in ((("--d", "2", "--n-max", "100000000"), 100000000),
+                    (("--periods", "50001"), 100002)):  # the longest period, d = 2
+        code, out, err = run(capsys, "verify", "--construction", "periodic", "--q", "5",
+                             *argv)
+        assert code == 2 and out == ""
+        assert f"guard exceeded: periodic sweep length: size {n} exceeds guard 100000" in err
+
+
 def test_verify_allow_large(capsys):
     # Hermitian ell = 7 lies past the default range until --allow-large
     argv = ("verify", "--construction", "hermitian", "--ell", "7",

@@ -4,7 +4,7 @@ The row of target t at feedback length m is its row at any shorter
 length L with the variables L..m - 1 on top, and the blocks a shorter
 system places are those a longer one places.  So a packed system keeps
 the longest body built for each target in its store, extends it in
-feed, and the search hands the store to the next length's system
+feed, and the search hands one store to every length's packed system
 (complexity._search).  Checked here: every extension of a stored body
 equals build_row's row bit for bit, and leaves the system build_row's
 row would, in both modes and bases, over prime and extension fields, on
@@ -122,7 +122,8 @@ def test_search_with_the_store_matches_rows_built_from_scratch(monkeypatch):
         system = real(*args)
         made.append((type(system).__name__, system.m, system.ncols,
                      getattr(system, "monomial", None)))
-        handed.append(bool(system.store))  # a shorter system's bodies taken over
+        # a shorter system's bodies taken over
+        handed.append(isinstance(system, cx._PackedSystem) and bool(system.store))
         return system
 
     monkeypatch.setattr(cx, "_new_system", recording)
@@ -141,6 +142,32 @@ def test_search_with_the_store_matches_rows_built_from_scratch(monkeypatch):
     assert kinds == {("_PackedSystem", True), ("_PackedSystem", False),
                      ("_SpanSystem", None)}, kinds
     assert any(handed)
+
+
+def test_a_search_hands_one_store_to_its_packed_systems(monkeypatch):
+    # the store given with each new length: one dict for every packed
+    # system of a search, and none once a span system has come back
+    calls = []
+    real = cx._new_system
+
+    def recording(*args):
+        system = real(*args)
+        calls.append((isinstance(system, cx._SpanSystem), args[7]))
+        return system
+
+    monkeypatch.setattr(cx, "_new_system", recording)
+    spans = 0
+    for q in FIELDS:
+        for s, k in searches(q):
+            for kind in ("nk", "lk"):
+                calls.clear()
+                cx.profile(s, k, kind)
+                packed = [store for span, store in calls if not span]
+                assert all(store is not None and store is packed[0] for store in packed)
+                first = next((i for i, (span, _) in enumerate(calls) if span), len(calls))
+                assert all(span and store is None for span, store in calls[first + 1:])
+                spans += first < len(calls)
+    assert spans
 
 
 def test_the_store_is_freed_when_the_search_returns():

@@ -165,8 +165,12 @@ def test_new_system_rule_keeps_packed_and_guards(monkeypatch):
         packed(*args)
         return "packed"
 
+    class Span:  # a class, which _new_system's isinstance test accepts
+        def __new__(cls, *args):
+            return "span"
+
     monkeypatch.setattr(cx, "_PackedSystem", built)
-    monkeypatch.setattr(cx, "_SpanSystem", lambda *args: "span")
+    monkeypatch.setattr(cx, "_SpanSystem", Span)
     moved = 0
     for q in (3, 4, 5, 9, 25, 29, 49):
         field = field_of_order(q)
@@ -205,8 +209,8 @@ def test_packed_choice_matches_span_systems(q, count, monkeypatch):
     picked = []
     new_system = cx._new_system
 
-    def recording(field, m, k, mode, limit, rows, lagrange, store=None):
-        system = new_system(field, m, k, mode, limit, rows, lagrange, store)
+    def recording(field, m, k, mode, limit, rows, lagrange, store=None, outgrown=None):
+        system = new_system(field, m, k, mode, limit, rows, lagrange, store, outgrown)
         picked.append(isinstance(system, cx._PackedSystem) and
                       system.ncols > m * (min(k, q - 1) + 1) * rows)
         return system
@@ -219,6 +223,6 @@ def test_packed_choice_matches_span_systems(q, count, monkeypatch):
         got.append((cx.profile(s, k, "nk"), rep.value))
     assert any(picked)  # some packed system holds more columns than a span one
     monkeypatch.setattr(cx, "_new_system", lambda field, m, k, mode, limit, rows, lagrange,
-                        store=None: cx._SpanSystem(field, m, k, mode, rows))
+                        store=None, outgrown=None: cx._SpanSystem(field, m, k, mode, rows))
     for (s, k), (prof, value) in zip(cases, got):
         assert cx.profile(s, k, "nk") == prof and prof[-1] == value

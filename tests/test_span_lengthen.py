@@ -6,9 +6,12 @@ instead of building a new one.  A lengthened system must then be in the
 state, cell for cell, of a fresh system fed the same rows, and a search
 must give the same values and witness bytes as one that builds every
 span system fresh.  Cells are compared by value, not as raw ints: a
-lengthened system keeps the cells and slots of its first length.
+lengthened system keeps the cells of its first length.  The search drops
+its packed row store at the first span system, so it relies on the price
+never going back from a span system to a packed one as m grows.
 """
 
+import itertools
 import json
 import random
 
@@ -22,6 +25,7 @@ from test_span_oracle import ScalarSpanSystem
 
 MODES = ("each", "total")
 FIELDS = (3, 5, 7, 9, 25, 29)
+NEW_SYSTEM = cx._new_system  # the real one, whatever stand-in a test installs
 
 
 def cells(system, vec):
@@ -156,44 +160,54 @@ def test_two_lengthens_in_a_row(q, mode):
     assert cases
 
 
-def recording(made, ignore_span_store=False):
-    """A stand-in for _new_system that records every system it returns,
-    and with ignore_span_store builds every span system fresh."""
-    real = cx._new_system
+def recording(made, fresh_spans=False):
+    """A stand-in for _new_system that records every system it returns and
+    whether it is the outgrown one lengthened, and with fresh_spans builds
+    every span system fresh."""
 
-    def new_system(field, m, k, mode, limit, rows, lagrange=False, store=None):
-        if ignore_span_store and isinstance(store, cx._SpanSystem):
-            store = None
-        system = real(field, m, k, mode, limit, rows, lagrange, store)
-        made.append((system, isinstance(store, cx._SpanSystem),
-                     getattr(system, "_products", None), rows))
+    def new_system(field, m, k, mode, limit, rows, lagrange=False, store=None,
+                   outgrown=None):
+        if fresh_spans:
+            outgrown = None
+        system = NEW_SYSTEM(field, m, k, mode, limit, rows, lagrange, store, outgrown)
+        made.append((system, system is outgrown, rows))
         return system
 
     return new_system
 
 
-def test_a_search_keeps_the_first_products(monkeypatch):
-    # inversive F_79 at k = 1: the first span system takes 65 rows, so its
-    # slots hold 8 products, and every later length keeps them, where a
-    # fresh system below 64 rows would hold 64
+def test_lengthened_and_fresh_systems_share_slots_and_decisions(monkeypatch):
+    # inversive F_79 at k = 1: the first span system takes 65 rows, and
+    # every later length lengthens it, down to fewer than 64 rows
     field = field_of_order(79)
     s = inversive_finite(field)
+    vals, n = s.values, len(s)
     made = []
     monkeypatch.setattr(cx, "_new_system", recording(made))
     rep = cx.nonlinear_complexity(s, 1)
-    spans = [(x, lengthened, products, rows) for x, lengthened, products, rows in made
+    spans = [(x, lengthened, rows) for x, lengthened, rows in made
              if isinstance(x, cx._SpanSystem)]
-    assert spans[0][3] >= 64 and not spans[0][1]
-    assert all(lengthened and products == 8 for _, lengthened, products, _ in spans[1:])
+    assert spans[0][2] >= 64 and not spans[0][1]
+    assert all(lengthened for _, lengthened, _ in spans[1:])
     assert any(rows < 64 for *_, rows in spans)
-    system = spans[-1][0]
-    assert system is spans[0][0] and system.m == rep.value
-    fresh = cx._SpanSystem(field, rep.value, 1, "each", len(s) - rep.value)
-    assert fresh._products == 64
-    for t in range(rep.value, len(s)):
-        assert fresh.feed(s.values, t)
-    assert state(system) == state(fresh)
-    monkeypatch.setattr(cx, "_new_system", recording([], ignore_span_store=True))
+    # the same lengths again, a fresh system beside the lengthened one at
+    # each: the same slots, and the same decision on every row
+    first, system = n - spans[0][2], None
+    for m in range(first, rep.value + 1):
+        if system is None:
+            system = cx._SpanSystem(field, m, 1, "each", n - m)
+        else:
+            system.lengthen(n - m)
+        fresh = cx._SpanSystem(field, m, 1, "each", n - m)
+        assert system._products == fresh._products, m
+        for t in range(m, n):
+            ok = system.feed(vals, t)
+            assert ok == fresh.feed(vals, t), (m, t)
+            if not ok:
+                break
+    assert ok and system.m == rep.value
+    assert state(system) == state(fresh) == state(spans[-1][0])
+    monkeypatch.setattr(cx, "_new_system", recording([], fresh_spans=True))
     assert cx.nonlinear_complexity(s, 1) == rep
 
 
@@ -222,8 +236,8 @@ def test_searches_match_fresh_span_systems_and_the_scalar_oracle(monkeypatch):
         made = []
         monkeypatch.setattr(cx, "_new_system", recording(made))
         got = results(s, k)
-        lengthened += sum(x for _, x, _, _ in made)
-        monkeypatch.setattr(cx, "_new_system", recording([], ignore_span_store=True))
+        lengthened += sum(x for _, x, _ in made)
+        monkeypatch.setattr(cx, "_new_system", recording([], fresh_spans=True))
         assert results(s, k) == got, (s.field.q, k, s.values)
         # a witness from a span system: the scalar oracle's, fed from scratch
         n = len(s)
@@ -242,16 +256,54 @@ def test_searches_match_fresh_span_systems_and_the_scalar_oracle(monkeypatch):
 def test_new_system_lengthens_only_the_span_system_one_shorter():
     field = field_of_order(29)
     span = cx._new_system(field, 14, 2, "each", 1 << 20, 15)
-    assert cx._new_system(field, 15, 2, "each", 1 << 20, 14, True, span) is span
+    assert cx._new_system(field, 15, 2, "each", 1 << 20, 14, True, None, span) is span
     assert (span.m, span.rows, span.ncols) == (15, 14, 15 * 3 * 14)
     # a skipped length, or a guard that trips first, leaves it as it was
-    other = cx._new_system(field, 17, 2, "each", 1 << 20, 12, True, span)
+    other = cx._new_system(field, 17, 2, "each", 1 << 20, 12, True, None, span)
     assert other is not span and span.m == 15
     with pytest.raises(cx.GuardExceeded):
-        cx._new_system(field, 16, 2, "each", 100, 13, True, span)
+        cx._new_system(field, 16, 2, "each", 100, 13, True, None, span)
     assert span.m == 15
-    # a packed system after a span one takes no store
-    packed = cx._new_system(field, 2, 2, "each", 1 << 20, 13, True, span)
-    assert isinstance(packed, cx._PackedSystem) and packed.store is None
+    # where the price picks a packed system, it takes the store it is
+    # given and leaves the outgrown system alone
+    store = {}
+    packed = cx._new_system(field, 2, 2, "each", 1 << 20, 13, True, store, span)
+    assert isinstance(packed, cx._PackedSystem) and packed.store is store
+    assert span.m == 15
     with pytest.raises(ValueError, match="holds 15 rows, not 16"):
         span.lengthen(16)
+    # an outgrown packed system at m - 1 gives way to a fresh span system
+    # (F_5, k = 1, n = 8: packed at m = 6, span at m = 7)
+    F5 = field_of_order(5)
+    packed = cx._new_system(F5, 6, 1, "each", 1 << 20, 2, True, {})
+    assert isinstance(packed, cx._PackedSystem)
+    span = cx._new_system(F5, 7, 1, "each", 1 << 20, 1, True, None, packed)
+    assert isinstance(span, cx._SpanSystem) and (span.m, packed.m) == (7, 6)
+
+
+def test_the_price_never_goes_back_to_packed(monkeypatch):
+    # along a search (rows = n - m), once _new_system picks a span system
+    # it picks one at every longer length
+    class Span:
+        def __new__(cls, *args):
+            return "span"
+
+    class Packed:
+        def __new__(cls, *args):
+            return "packed"
+
+    monkeypatch.setattr(cx, "_SpanSystem", Span)
+    monkeypatch.setattr(cx, "_PackedSystem", Packed)
+    switches = 0
+    for q in (3, 4, 5, 9, 25, 29, 49, 101):
+        field = field_of_order(q)
+        for k, mode in itertools.product(range(1, 5), MODES):
+            for n in range(2, 301):
+                span = False
+                for m in range(1, n):
+                    picked = cx._new_system(field, m, k, mode, cx.DEFAULT_MAX_MONOMIALS,
+                                            n - m) == "span"
+                    assert picked or not span, (q, k, mode, n, m)
+                    switches += picked and not span and m > 1
+                    span = picked
+    assert switches  # searches that go from packed systems to span ones
